@@ -34,6 +34,8 @@ def mp_terms(quantity: str, mode: str, x, rho, eta) -> list:
     h, y = x / 2, x * eta
     if quantity == "Z":
         return [mpmath.exp(-x * rho) * mpmath.cosh(y) / mpmath.sinh(h)]
+    if quantity == "log Z":
+        return [-x * rho, mpmath.log(mpmath.cosh(y)), -mpmath.log(mpmath.sinh(h))]
     if quantity == "F":
         return [mpmath.log(mpmath.sinh(h)) / x, -mpmath.log(mpmath.cosh(y)) / x,
                 rho]

@@ -39,10 +39,6 @@ class Poly1:
         self._c = tuple(c)
 
     @classmethod
-    def zero(cls) -> "Poly1":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Poly1":
         return cls((1,))
 
@@ -215,14 +211,6 @@ class TrigPoly:
 
     def __repr__(self):
         return f"TrigPoly(even={list(self.even.coeffs)}, odd={list(self.odd.coeffs)})"
-
-
-def trig_reflect(f: TrigPoly, axis: int) -> TrigPoly:
-    if axis == 1:
-        return f.reflect1()
-    if axis == 2:
-        return f.reflect2()
-    raise ValueError(f"axis must be 1 or 2, got {axis}")
 
 
 def jacobi(n: int, alpha, beta, x):
@@ -442,15 +430,6 @@ class AngularEigenpair:
     def eigenfunction(self, theta: float) -> complex:
         return sum(w * f.evaluate(theta) for w, f in zip(self.weights, self.basis))
 
-    def g_eigenfunction(self, theta: float) -> complex:
-        """G applied to the eigenfunction, evaluated at theta.
-
-        Re-applies the operator to the exact basis functions rather than
-        reusing the restriction matrix, so grid checks are independent.
-        """
-        return sum(w * apply_G(f, self.params).evaluate(theta)
-                   for w, f in zip(self.weights, self.basis))
-
     def eigenfunction_coeffs(self):
         """Complex coefficient lists (even, odd) of the eigenfunction."""
         ne = max(len(f.even.coeffs) for f in self.basis)
@@ -460,44 +439,6 @@ class AngularEigenpair:
         odd = [sum(w * complex(float(f.odd[k])) for w, f in
                    zip(self.weights, self.basis)) for k in range(no)]
         return even, odd
-
-
-# small exact complex arithmetic on (re, im) Fraction pairs
-def _cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _cscale(s, a):
-    return (s * a[0], s * a[1])
-
-
-def _exact_eigvec(m, lam: Fraction):
-    """Exact eigenvector of the rational 2x2 m for eigenvalue -i*lam,
-    first nonzero component normalized to 1.  Returns ((re, im), (re, im))."""
-    (m11, m12), (m21, m22) = m
-    if m12 != 0:
-        w1 = (Fraction(m12), Fraction(0))
-        w2 = (-Fraction(m11), -lam)
-    elif m21 != 0:
-        w1 = (-Fraction(m22), -lam)
-        w2 = (Fraction(m21), Fraction(0))
-    else:
-        raise ValueError("degenerate 2x2 system")
-    # normalize by the first nonzero component (complex division)
-    piv = w1 if w1 != (0, 0) else w2
-    d = piv[0] * piv[0] + piv[1] * piv[1]
-    inv = (piv[0] / d, -piv[1] / d)
-    w1, w2 = _cmul(w1, inv), _cmul(w2, inv)
-    mu = (Fraction(0), -lam)
-    row1 = _cadd(_cscale(m11, w1), _cscale(m12, w2))
-    row2 = _cadd(_cscale(m21, w1), _cscale(m22, w2))
-    if row1 != _cmul(mu, w1) or row2 != _cmul(mu, w2):
-        raise AssertionError("exact eigenvector verification failed")
-    return w1, w2
 
 
 def _float_eigvec(m, lam: float):
@@ -569,13 +510,8 @@ def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
     if lam_exact_abs is not None:
         lam_exact = branch * lam_exact_abs
         lam = float(lam_exact)
-        w1x, w2x = _exact_eigvec(m, lam_exact)
-        weights = (complex(float(w1x[0]), float(w1x[1])),
-                   complex(float(w2x[0]), float(w2x[1])))
     else:
         lam_exact = None
         lam = branch * math.sqrt(float(det))
-        weights = _float_eigvec(m, lam)
-
     return AngularEigenpair(eps1, eps2, ell, branch, lam, lam_exact,
-                            (f1, f2), weights, m, params)
+                            (f1, f2), _float_eigvec(m, lam), m, params)

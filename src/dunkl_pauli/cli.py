@@ -20,7 +20,8 @@ from pathlib import Path
 from . import verify as verify_mod
 from .algebra import WignerParams
 from .angular import lambda_value
-from .spectrum import SectorState, energy_over_omega_c, eta, rho
+from .spectrum import (SECTORS, SectorState, energy_over_omega_c, eta,
+                       lowest_ells, rho)
 from .thermo import MODES, QUANTITIES, ThermoInputs, log_grid, sweep
 
 
@@ -126,16 +127,6 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _sector_ells(epsilon: int, l_max: Fraction):
-    """Sector-valid ells from the smallest published value up to l_max."""
-    out = []
-    ell = Fraction(1) if epsilon == 1 else Fraction(1, 2)
-    while ell <= l_max:
-        out.append(ell)
-        ell += 1
-    return out
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -155,7 +146,9 @@ def cmd_spectrum(config: RunConfig) -> int:
         raise UsageError(f"cannot parse lmax {config.l_max!r}") from None
 
     single = config.ell_fraction()
-    ells = [single] if single is not None else _sector_ells(eps1 * eps2, l_max)
+    ells = [single] if single is not None else [
+        ell for ell in lowest_ells(eps1 * eps2, math.floor(l_max) + 1)
+        if ell <= l_max]
     rows = []
     for ell in ells:
         try:
@@ -190,7 +183,7 @@ def _ladder(config: RunConfig):
     epsilon = eps1 * eps2
     ell = config.ell_fraction()
     if ell is None:
-        ell = Fraction(1) if epsilon == 1 else Fraction(1, 2)
+        ell = lowest_ells(epsilon, 1)[0]
     try:
         rh = rho(ell, epsilon, config.branch_sign(), params)
     except ValueError as exc:
@@ -236,7 +229,7 @@ def _figure_curves(fig_num: int, panel: str, config: RunConfig):
     override = config.ell_fraction()
 
     def pick_ell(epsilon: int) -> Fraction:
-        default = Fraction(1) if epsilon == 1 else Fraction(1, 2)
+        default = lowest_ells(epsilon, 1)[0]
         if override is not None:
             half_odd = (2 * override).numerator % 2 == 1
             if (epsilon == -1) == half_odd:
@@ -252,7 +245,7 @@ def _figure_curves(fig_num: int, panel: str, config: RunConfig):
             curves.append((label, sector, (nu1, nu2), pick_ell(epsilon)))
     else:  # deformation fixed by panel, sector swept
         nu_pair = _FIGURE_NU_PANELS[panel]
-        for sector in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+        for sector in SECTORS:
             label = f"sector_{_SECTOR_FILE[sector]}"
             curves.append((label, sector, nu_pair, pick_ell(sector[0] * sector[1])))
     return curves
@@ -321,10 +314,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+class _SectorAction(argparse.Action):
+    """Stores --sector.  argparse on some Python versions (3.11 among them)
+    takes the value of --sector=-- for the end-of-options marker, strips it
+    and passes []."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu1", default="0", help="first deformation parameter (> -1/2)")
     p.add_argument("--nu2", default="0", help="second deformation parameter (> -1/2)")
-    p.add_argument("--sector", default="++",
+    p.add_argument("--sector", default="++", action=_SectorAction,
                    help="parity sector: ++, --, +-, -+ (or pp/mm/pm/mp)")
     p.add_argument("--ell", default=None,
                    help="angular quantum number (integer or half-odd, e.g. 1/2)")

@@ -10,9 +10,9 @@ it exactly (Liouville transformation), leaving the plain Schroedinger form
 
 with centrifugal = lam^2 in the even sector and lam^2 - 4 nu1 nu2 in the odd
 one.  Central differences on a uniform grid with Dirichlet walls at
-r_min > 0 and r_max then give a symmetric tridiagonal matrix whose lowest
-eigenvalues are 2mE for n = 0, 1, 2, ...  Nothing here reuses the closed-form
-energy algebra, so agreement with it is a genuine cross-check.
+r_max/n_points and r_max then give a symmetric tridiagonal matrix whose
+lowest eigenvalues are 2mE for n = 0, 1, 2, ...  Nothing here reuses the
+closed-form energy algebra, so agreement with it is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class DiscretizationConfig:
 
     n_points: int = 8000
     r_max: float = 10.0
-    r_min: float | None = None  # physical units; default r_max/n_points
 
     def __post_init__(self):
         if self.n_points < 500:
@@ -77,7 +76,7 @@ class DiscretizationConfig:
 def _grid(problem: RadialProblem, config: DiscretizationConfig):
     natural = math.sqrt(2.0 / (problem.scale.mass * problem.scale.omega_c))
     r_hi = config.r_max * natural
-    r_lo = config.r_min if config.r_min is not None else r_hi / config.n_points
+    r_lo = r_hi / config.n_points
     h = (r_hi - r_lo) / (config.n_points + 1)
     nodes = r_lo + h * np.arange(1, config.n_points + 1)
     return nodes, h

@@ -77,6 +77,18 @@ class SectorState:
         return self.eps1 * self.eps2
 
 
+# the four parity sectors (eps1, eps2), in the order every table lists them
+SECTORS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def lowest_ells(epsilon: int, count: int) -> list[Fraction]:
+    """The ``count`` smallest published ells of a sector of parity epsilon:
+    1, 2, 3, ... (even) or 1/2, 3/2, 5/2, ... (odd).  The ell = 0 constant
+    mode is left out."""
+    first = Fraction(1) if epsilon == 1 else Fraction(1, 2)
+    return [first + k for k in range(count)]
+
+
 def rho(ell, epsilon: int, branch: int, params: WignerParams) -> float:
     """Orbital/deformation shift rho_ell^eps = (lam + sqrt(D^2 + lam^2))/2
     with D = nu1 + nu2 in the even sector and nu1 - nu2 in the odd one.

@@ -12,17 +12,17 @@ expressions are not the beta-derivatives of the published free energy:
 "consistent" derives U and S from Z (so F = U - T*S holds to machine
 precision), "paper-faithful" transcribes the printed formulas (+rho in U
 becomes -rho; tanh(x*eta) in the last entropy term becomes coth(x*eta)).
-Z, F and C are identical in both modes.  All formulas are written in
-log/ratio-stable form so every quantity stays finite over x in [1e-3, 700].
+Z, F and C are identical in both modes.
 
-The scalar functions evaluate in floating point with libm, so their last
-bits can differ between platforms.  ``sweep``, which produces every emitted
-curve, returns instead the correctly rounded (round-to-nearest) double of
-each closed form at x = 1.0/tau, rho and eta (see ``rounding``), and
-``log_grid`` the correctly rounded points 10**y_i of the log-spaced grid
+The scalar functions and ``sweep`` return the correctly rounded
+(round-to-nearest) double of each closed form at x, rho and eta, from one
+evaluator (``_curve_terms`` with ``rounding.round_curve``); ``log_grid``
+returns the correctly rounded points 10**y_i of the log-spaced grid
 y_i = i*step + lo, step = (hi - lo)/(steps - 1), with lo and hi the
-correctly rounded log10 of its exact endpoints.  Both are therefore the
-same on every IEEE-754 platform, whatever its libm or SIMD dispatch.
+correctly rounded log10 of its exact endpoints.  Every value is therefore
+the same on every IEEE-754 platform, whatever its libm or SIMD dispatch.
+A value the decimal fallback cannot settle, which happens only far outside
+x in [1e-3, 700], raises ValueError.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ import numpy as np
 from .rounding import round_curve, settle
 
 MODES = ("consistent", "paper-faithful")
-
-_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -58,34 +56,20 @@ class ThermoInputs:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def _log_sinh(y: float) -> float:
-    """log(sinh(y)) for y > 0, overflow-safe."""
-    return y - _LOG2 + math.log(-math.expm1(-2.0 * y))
-
-def _log_cosh(y: float) -> float:
-    """log(cosh(y)), overflow-safe."""
-    y = abs(y)
-    return y - _LOG2 + math.log1p(math.exp(-2.0 * y))
-
-def _y_over_sinh(y: float) -> float:
-    """y/sinh(y) for y > 0 without overflow (underflows to 0 for huge y)."""
-    return 2.0 * y * math.exp(-y) / -math.expm1(-2.0 * y)
-
-def _y_over_cosh(y: float) -> float:
-    """y/cosh(y) for y >= 0 without overflow."""
-    return 2.0 * y * math.exp(-y) / (1.0 + math.exp(-2.0 * y))
+def _value(quantity: str, inputs: ThermoInputs) -> float:
+    """The correctly rounded closed form of one quantity at ``inputs``."""
+    return round_curve(_curve_terms(quantity, inputs), (inputs.x,))[0]
 
 
 def log_partition(inputs: ThermoInputs) -> float:
     """log Z = -x*rho + log cosh(x*eta) - log sinh(x/2); mode-independent."""
-    x = inputs.x
-    return -x * inputs.rho + _log_cosh(x * inputs.eta) - _log_sinh(0.5 * x)
+    return _value("log Z", inputs)
 
 
 def partition(inputs: ThermoInputs) -> float:
-    """Closed-form Z; evaluated in log space so large x cannot overflow.
-    (Z diverges like 2/x as x -> 0, which the x > 0 precondition excludes.)"""
-    return math.exp(log_partition(inputs))
+    """Closed-form Z.  (Z diverges like 2/x as x -> 0, which the x > 0
+    precondition excludes.)"""
+    return _value("Z", inputs)
 
 
 def direct_sum_partition(x: float, rho: float, eta: float,
@@ -120,8 +104,7 @@ def direct_sum_partition(x: float, rho: float, eta: float,
 def helmholtz(inputs: ThermoInputs) -> float:
     """F/omega_c = (log sinh(x/2) - log cosh(x*eta))/x + rho; identical in
     both modes (it is -log(Z)/x)."""
-    x = inputs.x
-    return (_log_sinh(0.5 * x) - _log_cosh(x * inputs.eta)) / x + inputs.rho
+    return _value("F", inputs)
 
 
 def internal_energy(inputs: ThermoInputs) -> float:
@@ -130,16 +113,13 @@ def internal_energy(inputs: ThermoInputs) -> float:
     The +rho is what -d(log Z)/d(beta) gives; paper-faithful mode flips it to
     the printed -rho.
     """
-    x = inputs.x
-    u = 0.5 / math.tanh(0.5 * x) - inputs.eta * math.tanh(x * inputs.eta)
-    return u + (inputs.rho if inputs.mode == "consistent" else -inputs.rho)
+    return _value("U", inputs)
 
 
 def heat_capacity(inputs: ThermoInputs) -> float:
     """C/K = (x/2)^2/sinh^2(x/2) + (x*eta)^2/cosh^2(x*eta); rho drops out of
     the second derivative, so the modes agree exactly."""
-    x = inputs.x
-    return _y_over_sinh(0.5 * x) ** 2 + _y_over_cosh(x * abs(inputs.eta)) ** 2
+    return _value("C", inputs)
 
 
 def entropy(inputs: ThermoInputs) -> float:
@@ -148,25 +128,8 @@ def entropy(inputs: ThermoInputs) -> float:
     That last factor is tanh as obtained from beta^2 dF/dbeta; paper-faithful
     mode uses the printed coth instead (their difference vanishes for large
     x*eta and blows the F = U - TS identity below it).
-
-    Evaluated in the cancellation-free regrouping
-
-        S/K = -log1p(-e^-x) + x e^-x/(1-e^-x)
-              + log1p(e^-2xeta) + 2 x eta e^-2xeta/(1+e^-2xeta),
-
-    whose terms stay order-1 or exponentially small, so S decays cleanly to 0
-    at low temperature instead of through the difference of two huge numbers.
     """
-    x = inputs.x
-    q = math.exp(-x)
-    s = -math.log1p(-q) + x * q / (1.0 - q)
-    ye = x * inputs.eta
-    p = math.exp(-2.0 * ye)
-    if inputs.mode == "consistent":
-        return s + math.log1p(p) + 2.0 * ye * p / (1.0 + p)
-    if ye == 0:
-        return s + _LOG2 - 1.0
-    return s + math.log1p(p) - 2.0 * ye * p / (1.0 - p)
+    return _value("S", inputs)
 
 
 @dataclass(frozen=True)
@@ -204,15 +167,19 @@ def _curve_terms(quantity: str, template: ThermoInputs):
     apart, share one sign:
 
         Z = exp(y - x*rho - x/2) (1 + p)/(1 - q)
+        log Z = (y - x*rho - x/2) + log1p(p) - log1p(-q)
         F = rho + 1/2 - e + (log1p(-q) - log1p(p))/x
         U = +/-rho + 1/2 - e + q/(1 - q) + 2e p/(1 + p)
         C = x^2 q/(1 - q)^2 + 4y^2 p/(1 + p)^2
         S = -log1p(-q) + x q/(1 - q) + log1p(p) + 2y p/(1 + p)
 
     except the last entropy term in paper-faithful mode, -2y p/(1 - p), or
-    its limit log(2) - 1 when eta == 0.
+    its limit log(2) - 1 when eta == 0.  The linear part of log Z is left
+    out where e - 1/2 - rho is exactly 0: there its rounding error would
+    swamp the exponentially small rest.
     """
     rho, e, mode = template.rho, abs(template.eta), template.mode
+    linear = math.fsum((e, -0.5, -rho)) != 0  # fsum: 0 only for an exact 0
 
     def terms(num, x):
         X = num.const(x)
@@ -228,6 +195,9 @@ def _curve_terms(quantity: str, template: ThermoInputs):
             sign = 1.0 if mode == "consistent" else -1.0
             return (sign * rho, 0.5, -e), q / omq + 2 * e * p / opp
         lq, lp = num.log1p(-q, p)
+        if quantity == "log Z":
+            t = lp - lq
+            return (), t + (Y - X * rho - 0.5 * X) if linear else t
         if quantity == "F":
             return (rho, 0.5, -e), (lq - lp) / X
         s = X * q / omq - lq
@@ -246,12 +216,11 @@ def sweep(quantity: str, template: ThermoInputs, tau_grid) -> ThermoCurve:
 
     Each value is the correctly rounded (round-to-nearest) double of the
     quantity's closed form above at the inputs x = 1.0/tau (the float
-    division, as for the scalar functions), rho and eta, so the curve is the
-    same on every IEEE-754 platform.  The scalar functions keep their
-    faster float evaluation, which can differ from it in the last bits.
-    ``log_grid`` gives the matching temperature grid.  Raises ValueError
-    for temperatures that are not positive and finite, and (far outside
-    x in [1e-3, 700]) where the decimal fallback cannot settle a value.
+    division), rho and eta: the value the scalar function gives at that x,
+    and the same on every IEEE-754 platform.  ``log_grid`` gives the
+    matching temperature grid.  Raises ValueError for temperatures that are
+    not positive and finite, and (far outside x in [1e-3, 700]) where the
+    decimal fallback cannot settle a value.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {sorted(QUANTITIES)}, "

@@ -28,16 +28,13 @@ from .algebra import (BivarPoly, WignerParams, X1, X2, angular_momentum_action,
                       commutator_xD, dunkl_derive, dunkl_laplacian,
                       dunkl_laplacian_expanded, reflect)
 from .angular import (Poly1, TrigPoly, angular_eigenpair, apply_B, apply_G,
-                      jacobi, lambda_radicand, lambda_value, restrict_to_circle,
-                      sector_basis)
+                      jacobi, lambda_radicand, restrict_to_circle, sector_basis)
 from .radial_oracle import DiscretizationConfig, validate_sector
-from .spectrum import (OscillatorScale, SectorState, energy_over_omega_c,
-                       energy_sector_form, eta, hyp1f1, radical_identity_check,
-                       rho)
+from .spectrum import (SECTORS, OscillatorScale, SectorState,
+                       energy_over_omega_c, energy_sector_form, eta, hyp1f1,
+                       lowest_ells, radical_identity_check, rho)
 
 DEFAULT_SEED = 20240501
-
-SECTORS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 # nu grid used by the eigenvalue/spectrum checks: {0, +/-0.2, +/-0.4}^2
 NU_GRID = tuple(
@@ -162,9 +159,7 @@ def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> Suite
         params = WignerParams(nu1, nu2)
         for eps1, eps2 in SECTORS:
             epsilon = eps1 * eps2
-            ells = (1, 2, 3, 4, 5) if epsilon == 1 else tuple(
-                Fraction(k, 2) for k in (1, 3, 5, 7, 9))
-            for ell in ells:
+            for ell in lowest_ells(epsilon, 5):
                 pair = angular_eigenpair(ell, (eps1, eps2), 1, params)
                 rad = float(lambda_radicand(ell, epsilon, params))
                 res.check(abs(pair.lam ** 2 - rad) <= 1e-12 * max(rad, 1.0),
@@ -195,9 +190,7 @@ def run_spectrum_suite() -> SuiteResult:
         params = WignerParams(nu1, nu2)
         for eps1, eps2 in SECTORS:
             epsilon = eps1 * eps2
-            ells = (1, 2, 3, 4, 5) if epsilon == 1 else tuple(
-                Fraction(k, 2) for k in (1, 3, 5, 7, 9))
-            for ell in ells:
+            for ell in lowest_ells(epsilon, 5):
                 lhs, rhs = radical_identity_check(ell, epsilon, params)
                 res.check(abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0),
                           f"radical identity fails: ell={ell}, eps={epsilon}, nu={params}")
@@ -231,8 +224,7 @@ def run_oracle_suite(n_max: int = 2,
     res = SuiteResult("radial oracle (finite-difference cross-check)")
     scale = OscillatorScale()
     for sector in SECTORS:
-        epsilon = sector[0] * sector[1]
-        ells = (1, 2) if epsilon == 1 else (Fraction(1, 2), Fraction(3, 2))
+        ells = lowest_ells(sector[0] * sector[1], 2)
         for nu in ORACLE_NUS:
             params = WignerParams(*nu)
             report = validate_sector(sector, params, scale, ells, n_max,
@@ -248,7 +240,7 @@ def run_oracle_suite(n_max: int = 2,
 def _ladder_cases():
     for eps1, eps2 in SECTORS:
         epsilon = eps1 * eps2
-        ells = (1, 2) if epsilon == 1 else (Fraction(1, 2), Fraction(3, 2))
+        ells = lowest_ells(epsilon, 2)
         for nu in ((Fraction(0), Fraction(0)), (Fraction(2, 5), Fraction(2, 5)),
                    (Fraction(2, 5), Fraction(-2, 5)), (Fraction(-2, 5), Fraction(-2, 5)),
                    (Fraction(-2, 5), Fraction(2, 5))):

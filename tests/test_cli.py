@@ -223,6 +223,16 @@ def test_verify_report_file(tmp_path, capsys):
 
 # ---------------------------------------------------------------- parsing
 
+@pytest.mark.parametrize("argv", [("thermo", "--quantity", "Z", "--steps", "3"),
+                                  ("spectrum",)], ids=["thermo", "spectrum"])
+def test_sector_minus_minus_spelling_matches_alias(capsys, argv):
+    # argparse hands the value of --sector=-- over as []
+    code, spelled, _ = run(capsys, *argv, "--sector=--")
+    assert code == 0
+    _, alias, _ = run(capsys, *argv, "--sector", "mm")
+    assert spelled == alias
+
+
 def test_unknown_sector_is_usage_error(capsys):
     code, _, err = run(capsys, "spectrum", "--sector", "+x")
     assert code == 2 and err.startswith("error:")

@@ -1,10 +1,11 @@
-"""Correct rounding of emitted thermo values and temperature grids.
+"""Correct rounding of thermo values, emitted and scalar, and of
+temperature grids.
 
 The reference is scripts/check_rounding.py (mpmath), which checks the whole
-figure bundle; here a seeded sample covers every quantity and mode, the
-ends of the documented range x = beta*omega_c in [1e-3, 700], eta = 0,
+figure bundle; here a seeded sample covers every quantity and mode, log Z,
+the ends of the documented range x = beta*omega_c in [1e-3, 700], eta = 0,
 negative eta, both evaluation paths of the fast code (vectorised and
-point by point) and the decimal fallback.
+point by point), the scalar functions and the decimal fallback.
 """
 
 import hashlib
@@ -20,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from dunkl_pauli import rounding, thermo
-from dunkl_pauli.thermo import MODES, QUANTITIES, ThermoInputs, log_grid, sweep
+from dunkl_pauli.thermo import (MODES, QUANTITIES, ThermoInputs, entropy,
+                                log_grid, log_partition, sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,8 +67,30 @@ def test_sampled_values_equal_mpmath_rounding():
                                           digits) for digits in (60, 120)]
                     assert want[0] == want[1], (quantity, mode, rho, eta, tau)
                     assert value == want[0], (quantity, mode, rho, eta, tau)
+                    scalar = QUANTITIES[quantity](
+                        ThermoInputs(1.0 / tau, rho, eta, mode))
+                    assert scalar == value, (quantity, mode, rho, eta, tau)
                     checked += 1
-    assert checked == 8 * 2 * 5 * 10
+                if quantity == "Z":  # log Z at the same points
+                    for tau, _ in rows:
+                        x = 1.0 / tau
+                        want = [ref.reference("log Z", mode, x, rho, eta, d)
+                                for d in (60, 120)]
+                        assert want[0] == want[1], (mode, rho, eta, tau)
+                        assert log_partition(ThermoInputs(x, rho, eta, mode)) \
+                            == want[0], (mode, rho, eta, tau)
+                        checked += 1
+    assert checked == 8 * 2 * 6 * 10
+
+
+def test_scalar_entropy_at_high_temperature_equals_mpmath_rounding():
+    # beyond the documented range: 1 - exp(-x) keeps few digits in floats
+    ref = _reference()
+    for rho, eta in LADDERS:
+        for mode in MODES:
+            got = entropy(ThermoInputs(1e-6, rho, eta, mode))
+            assert got == ref.reference("S", mode, 1e-6, rho, eta, 60), \
+                (mode, rho, eta)
 
 
 def test_sampled_grid_points_equal_mpmath_rounding():
@@ -90,13 +114,14 @@ def test_grid_endpoints_and_exact_powers_of_ten():
 
 @pytest.mark.parametrize("grid", [WIDE, SHORT], ids=["vectorised", "pointwise"])
 def test_decimal_fallback_agrees_bit_for_bit_with_fast_path(grid):
+    xs = [1.0 / tau for tau in grid]
     for rho, eta in LADDERS:
         for mode in MODES:
-            for quantity in QUANTITIES:
-                template = ThermoInputs(1.0, rho, eta, mode)
-                terms = thermo._curve_terms(quantity, template)
-                fast = sweep(quantity, template, grid).values
-                slow = tuple(rounding.settle(terms, 1.0 / tau) for tau in grid)
+            for quantity in (*QUANTITIES, "log Z"):
+                terms = thermo._curve_terms(quantity,
+                                            ThermoInputs(1.0, rho, eta, mode))
+                fast = rounding.round_curve(terms, xs)
+                slow = [rounding.settle(terms, x) for x in xs]
                 assert fast == slow, (quantity, mode, rho, eta)
 
 

@@ -185,11 +185,15 @@ def test_entropy_high_temperature_deformation_independent():
 
 
 def test_all_quantities_finite_over_wide_range():
-    for x in (1e-3, 0.1, 1.0, 30.0, 100.0, 700.0):
-        for mode in MODES:
-            for q, fn in QUANTITIES.items():
-                v = fn(ThermoInputs(x, 2.74, 0.9, mode))
-                assert math.isfinite(v), (q, x, mode)
+    # (rho, eta): deformed even ladder, eta = 0, sector -- at nu = (0.8, 0.8)
+    # (negative eta), the undeformed ladder whose ground level sits at 0
+    ladders = [(2.74, 0.9), (1.3, 0.0), (0.8, -0.3), (0.0, 0.5)]
+    for x in (1e-8, 1e-3, 0.1, 1.0, 30.0, 100.0, 700.0, 1e4, 1e6):
+        for r, h in ladders:
+            for mode in MODES:
+                for fn in (*QUANTITIES.values(), log_partition):
+                    v = fn(ThermoInputs(x, r, h, mode))
+                    assert math.isfinite(v), (fn.__name__, x, r, h, mode)
 
 
 @given(st.floats(1e-3, 700.0), st.floats(0.0, 3.0), st.floats(0.05, 1.25),
@@ -207,6 +211,28 @@ def test_consistent_thermo_identity_property(x, r, h):
     ti = ThermoInputs(x, r, h)
     resid = abs(x * helmholtz(ti) - x * internal_energy(ti) + entropy(ti))
     assert resid <= 1e-9 * max(1.0, abs(x * helmholtz(ti)))
+
+
+# ------------------------------------------- correctly rounded scalar values
+
+def test_entropy_takes_abs_eta():
+    # sector -- at nu = (0.8, 0.8) has eta = -0.3; with eta in place of
+    # |eta| two terms of about 60 cancel and S comes out negative
+    s = entropy(ThermoInputs(100.0, 0.8, -0.3))
+    assert s == entropy(ThermoInputs(100.0, 0.8, 0.3))
+    assert s == pytest.approx(5.341471565244889e-25, rel=1e-15)
+
+
+def test_ground_level_at_zero_keeps_exponentially_small_values():
+    # rho = 0, eta = 1/2: the exact parts of F, U and log Z cancel, and
+    # what is left decays like exp(-x), far above the underflow threshold
+    ti = ThermoInputs(100.0, 0.0, 0.5)
+    tiny = 2 * math.exp(-100.0)
+    assert helmholtz(ti) == pytest.approx(-tiny / 100, rel=1e-15, abs=0)
+    assert internal_energy(ti) == pytest.approx(tiny, rel=1e-15, abs=0)
+    assert log_partition(ti) == pytest.approx(tiny, rel=1e-15, abs=0)
+    # log Z = 2e-4343 rounds to 0; the cancelling linear part adds nothing
+    assert log_partition(ThermoInputs(1e4, 0.0, 0.5)) == 0.0
 
 
 # ---------------------------------------------------------------- sweeps
