@@ -10,6 +10,15 @@ multiplier (tan, cot, 1/cos^2, 1/sin^2) pairs with a reflection difference
 that supplies the compensating factor, so all divisions are exact polynomial
 divisions.
 
+A Poly1 holds integer numerators over one common positive denominator,
+reduced so that the numerators and the denominator are coprime (the
+content/primitive-part form of Geddes, Czapor & Labahn, Algorithms for
+Computer Algebra, 1992).  Arithmetic works on the integers and reduces once
+per result, so equality is exact rational equality and the operator
+identities hold with zero tolerance.  Coefficients are handed out as
+fractions.Fraction; float evaluation uses float coefficients computed once
+per polynomial.
+
 Eigenfunctions for the eigenvalue lam of i*G are built per sector from a
 two-dimensional candidate space spanned by one purely-even and one purely-odd
 real function (Jacobi polynomials in -cos 2*theta with sector-specific
@@ -28,121 +37,198 @@ from .algebra import BivarPoly, WignerParams
 
 
 class Poly1:
-    """Dense exact univariate polynomial (coefficient list, ascending powers)."""
+    """Dense exact univariate polynomial in ascending powers.
 
-    __slots__ = ("_c",)
+    Stored as integer numerators over one positive denominator, in canonical
+    form: no trailing zero numerator, the numerators and the denominator are
+    coprime, and the zero polynomial has denominator 1.  Float evaluation
+    uses the coefficients n/den, computed once per instance; int/int true
+    division is correctly rounded, so they equal float(Fraction(n, den)).
+    """
+
+    __slots__ = ("_n", "_d", "_f")
 
     def __init__(self, coeffs=()):
-        c = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self._c = tuple(c)
+        fracs = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
+        den = math.lcm(*[v.denominator for v in fracs])
+        self._n, self._d = _canonical(
+            [v.numerator * (den // v.denominator) for v in fracs], den)
+        self._f = None
+
+    @classmethod
+    def _raw(cls, nums: tuple[int, ...], den: int) -> "Poly1":
+        """Wrap numerators already in canonical form."""
+        p = object.__new__(cls)
+        p._n, p._d, p._f = nums, den, None
+        return p
+
+    @classmethod
+    def _make(cls, nums: list[int], den: int) -> "Poly1":
+        """Canonicalise integer numerators over a positive denominator."""
+        return cls._raw(*_canonical(nums, den))
 
     @classmethod
     def one(cls) -> "Poly1":
-        return cls((1,))
+        return cls._raw((1,), 1)
 
     @classmethod
     def x(cls) -> "Poly1":
-        return cls((0, 1))
+        return cls._raw((0, 1), 1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
+        d = self._d
+        return tuple([Fraction(n, d) for n in self._n])
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._n
 
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     def __getitem__(self, k: int) -> Fraction:
-        return self._c[k] if 0 <= k < len(self._c) else Fraction(0)
+        return Fraction(self._n[k], self._d) if 0 <= k < len(self._n) else Fraction(0)
+
+    def _combine(self, other: "Poly1", sign: int) -> "Poly1":
+        """self + sign*other over the least common denominator."""
+        d1, d2 = self._d, other._d
+        g = math.gcd(d1, d2)
+        a, b = d2 // g, sign * (d1 // g)
+        out = [x * a for x in self._n] if a != 1 else list(self._n)
+        n2 = other._n
+        if len(n2) > len(out):
+            out.extend([0] * (len(n2) - len(out)))
+        for k, y in enumerate(n2):
+            out[k] += y * b
+        return Poly1._make(out, d1 * a)
 
     def __add__(self, other):
-        if isinstance(other, Rational):
-            other = Poly1((other,))
         if not isinstance(other, Poly1):
-            return NotImplemented
-        n = max(len(self._c), len(other._c))
-        return Poly1([self[k] + other[k] for k in range(n)])
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = Poly1._make([other.numerator], other.denominator)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly1":
-        return Poly1([-v for v in self._c])
+        return Poly1._raw(tuple([-x for x in self._n]), self._d)
 
     def __sub__(self, other):
-        if isinstance(other, Rational):
-            other = Poly1((other,))
         if not isinstance(other, Poly1):
-            return NotImplemented
-        return self + (-other)
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = Poly1._make([other.numerator], other.denominator)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Rational):
-            return Poly1([Fraction(other) * v for v in self._c])
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly1()
-        out = [Fraction(0)] * (len(self._c) + len(other._c) - 1)
-        for i, a in enumerate(self._c):
-            for j, b in enumerate(other._c):
-                out[i + j] += a * b
-        return Poly1(out)
+        if isinstance(other, Poly1):
+            a, b = self._n, other._n
+            if not a or not b:
+                return Poly1._raw((), 1)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return Poly1._make(out, self._d * other._d)
+        if type(other) is int or type(other) is Fraction or isinstance(other, Rational):
+            num = other.numerator
+            return Poly1._make([x * num for x in self._n], self._d * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return self * (Fraction(1) / Fraction(scalar))
+        q = scalar if type(scalar) is int else Fraction(scalar)
+        num, den = q.numerator, q.denominator
+        if num == 0:
+            raise ZeroDivisionError("Poly1 division by zero")
+        if num < 0:
+            num, den = -num, -den
+        return Poly1._make([x * den for x in self._n], self._d * num)
 
     def derivative(self) -> "Poly1":
-        return Poly1([k * self._c[k] for k in range(1, len(self._c))])
+        n = self._n
+        return Poly1._make([k * n[k] for k in range(1, len(n))], self._d)
 
     def compose_neg(self) -> "Poly1":
         """Substitute c -> -c (sign flip on odd coefficients)."""
-        return Poly1([(-v if k % 2 else v) for k, v in enumerate(self._c)])
+        return Poly1._raw(tuple([-x if k % 2 else x for k, x in enumerate(self._n)]),
+                          self._d)
 
     def odd_shift(self) -> "Poly1":
         """(P(c) - P(-c)) / (2c): odd coefficients shifted down one power."""
-        out = [Fraction(0)] * max(len(self._c) - 1, 0)
-        for k in range(1, len(self._c), 2):
-            out[k - 1] = self._c[k]
-        return Poly1(out)
+        out = [0] * max(len(self._n) - 1, 0)
+        out[0::2] = self._n[1::2]
+        return Poly1._make(out, self._d)
 
     def div_c(self) -> "Poly1":
         """Exact division by c; raises if the constant term is nonzero."""
-        if self._c and self._c[0] != 0:
+        if self._n and self._n[0] != 0:
             raise ArithmeticError("polynomial not divisible by c")
-        return Poly1(self._c[1:])
+        return Poly1._raw(self._n[1:], self._d)
 
     def shift_up(self, k: int = 1) -> "Poly1":
         """Multiply by c^k."""
         if self.is_zero():
             return self
-        return Poly1((Fraction(0),) * k + self._c)
+        return Poly1._raw((0,) * k + self._n, self._d)
 
     def evaluate(self, v):
+        """Exact value at a rational v; otherwise Horner over the float
+        coefficients."""
+        if type(v) is not float and isinstance(v, Rational):
+            p, q = v.numerator, v.denominator
+            acc, qk = 0, 1
+            for x in reversed(self._n):
+                acc = acc * p + x * qk
+                qk *= q
+            return Fraction(acc * q, self._d * qk)
+        if self._f is None:
+            d = self._d
+            self._f = tuple([x / d for x in self._n])
         acc = 0 * v
-        for c in reversed(self._c):
+        for c in reversed(self._f):
             acc = acc * v + c
         return acc
 
     def __eq__(self, other):
         if not isinstance(other, Poly1):
             return NotImplemented
-        return self._c == other._c
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
-        return hash(self._c)
+        return hash((self._n, self._d))
 
     def __repr__(self):
-        return f"Poly1({list(self._c)!r})"
+        return f"Poly1({list(self.coeffs)!r})"
+
+
+def _canonical(nums: list[int], den: int):
+    """Strip trailing zeros and divide out the gcd with the denominator.
+
+    Tuples here and in Poly1 are built from lists, not generators: tuple() of
+    a generator starts at size 10 and resizes, which moves tuples between
+    the interpreter's per-size free lists until every one of them is full.
+    """
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    g = math.gcd(den, *nums)
+    if g != 1:
+        return tuple([x // g for x in nums]), den // g
+    return tuple(nums), den
+
+
+def _times_s2(p: Poly1) -> Poly1:
+    """Multiply by s^2 = 1 - c^2."""
+    return p - p.shift_up(2)
 
 
 @dataclass(frozen=True)
@@ -182,8 +268,7 @@ class TrigPoly:
         if not isinstance(other, TrigPoly):
             return NotImplemented
         # s^2 reduces to 1 - c^2
-        s2 = Poly1((1, 0, -1))
-        return TrigPoly(self.even * other.even + s2 * (self.odd * other.odd),
+        return TrigPoly(self.even * other.even + _times_s2(self.odd * other.odd),
                         self.even * other.odd + other.even * self.odd)
 
     __rmul__ = __mul__
@@ -202,8 +287,7 @@ class TrigPoly:
 
     def derivative(self) -> "TrigPoly":
         a, b = self.even, self.odd
-        return TrigPoly(Poly1.x() * b - Poly1((1, 0, -1)) * b.derivative(),
-                        -a.derivative())
+        return TrigPoly(b.shift_up() - _times_s2(b.derivative()), -a.derivative())
 
     def evaluate(self, theta: float):
         c = math.cos(theta)
@@ -217,24 +301,34 @@ def jacobi(n: int, alpha, beta, x):
     """Jacobi polynomial P_n^(alpha,beta)(x) by the three-term recurrence.
 
     Duck-typed in x: exact for Fraction inputs, float for float inputs, and a
-    Poly1 argument yields the polynomial composed with x.
+    Poly1 argument yields the polynomial composed with x.  With alpha = A/D
+    and beta = B/D over one common denominator D, the recurrence
+    coefficients are taken times D^3, which makes them integers and leaves
+    the recurrence unchanged.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {n!r}")
     if not (alpha > -1 and beta > -1):
         raise ValueError(f"Jacobi parameters must exceed -1, got ({alpha}, {beta})")
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    den = math.lcm(alpha.denominator, beta.denominator)
+    a_num = alpha.numerator * (den // alpha.denominator)
+    b_num = beta.numerator * (den // beta.denominator)
+    ab = a_num + b_num
     one = x * 0 + 1
     p_prev = one
     if n == 0:
         return p_prev
-    p_curr = (alpha + 1) + (alpha + beta + 2) * (x - 1) * Fraction(1, 2)
+    # (alpha + 1) + (alpha + beta + 2) (x - 1) / 2, over 2D
+    p_curr = (2 * (a_num + den) + (ab + 2 * den) * (x - 1)) / (2 * den)
     for k in range(2, n + 1):
-        ab = alpha + beta
-        a = 2 * k * (k + ab) * (2 * k + ab - 2)
-        b1 = (2 * k + ab - 1) * (2 * k + ab) * (2 * k + ab - 2)
-        b0 = (2 * k + ab - 1) * (alpha * alpha - beta * beta)
-        c2 = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + ab)
-        p_next = (b1 * (x * p_curr) + b0 * p_curr - c2 * p_prev) * (1 / Fraction(a))
+        kd = k * den
+        t = 2 * kd + ab  # (2k + alpha + beta) D
+        a = 2 * kd * (kd + ab) * (t - 2 * den)
+        b1 = (t - den) * t * (t - 2 * den)
+        b0 = (t - den) * (a_num * a_num - b_num * b_num)
+        c2 = 2 * (kd + a_num - den) * (kd + b_num - den) * t
+        p_next = (b1 * (x * p_curr) + b0 * p_curr - c2 * p_prev) / a
         p_curr, p_prev = p_next, p_curr
     return p_curr
 
@@ -248,12 +342,11 @@ def apply_G(f: TrigPoly, params: WignerParams) -> TrigPoly:
     even part; (1-R1)f = 2c*odd_shift(A) + 2sc*odd_shift(B) so the tan term
     lands back in the representation with no leftover singularity.
     """
-    nu1, nu2 = params.nu1, params.nu2
+    two_nu1, two_nu2 = 2 * params.nu1, 2 * params.nu2
     a, b = f.even, f.odd
-    s2 = Poly1((1, 0, -1))
     d = f.derivative()
-    even = d.even + 2 * nu2 * (Poly1.x() * b) - 2 * nu1 * (s2 * b.odd_shift())
-    odd = d.odd - 2 * nu1 * a.odd_shift()
+    even = d.even + two_nu2 * b.shift_up() - two_nu1 * _times_s2(b.odd_shift())
+    odd = d.odd - two_nu1 * a.odd_shift()
     return TrigPoly(even, odd)
 
 
@@ -268,15 +361,13 @@ def apply_B(f: TrigPoly, params: WignerParams) -> TrigPoly:
     """
     nu1, nu2 = params.nu1, params.nu2
     a, b = f.even, f.odd
-    s2 = Poly1((1, 0, -1))
     out = Fraction(-1, 2) * f.derivative().derivative()
     if nu2 != 0:
-        t2 = TrigPoly(Poly1.x() * a.derivative(),
-                      b + Poly1.x() * b.derivative())
+        t2 = TrigPoly(a.derivative().shift_up(), b + b.derivative().shift_up())
         out = out + nu2 * t2
     if nu1 != 0:
-        t1 = TrigPoly((a.odd_shift() - s2 * a.derivative()).div_c(),
-                      b + (b.odd_shift() - s2 * b.derivative()).div_c())
+        t1 = TrigPoly((a.odd_shift() - _times_s2(a.derivative())).div_c(),
+                      b + (b.odd_shift() - _times_s2(b.derivative())).div_c())
         out = out + nu1 * t1
     return out
 
@@ -285,11 +376,10 @@ def restrict_to_circle(p: BivarPoly) -> TrigPoly:
     """Restrict a Cartesian polynomial to the unit circle (r = 1)."""
     even = Poly1()
     odd = Poly1()
-    s2 = Poly1((1, 0, -1))
     for (i, j), coeff in p.coeffs.items():
         term = Poly1((coeff,)).shift_up(i)
         for _ in range(j // 2):
-            term = term * s2
+            term = _times_s2(term)
         if j % 2:
             odd = odd + term
         else:
@@ -298,12 +388,14 @@ def restrict_to_circle(p: BivarPoly) -> TrigPoly:
 
 
 def _validate_sector_ell(ell: Fraction, epsilon: int, allow_zero: bool) -> None:
+    num, den = ell.numerator, ell.denominator
     if epsilon == 1:
-        if ell.denominator != 1 or ell < 0 or (ell == 0 and not allow_zero):
+        if den != 1 or num < 0 or (num == 0 and not allow_zero):
             raise ValueError(
                 f"even sector requires a positive integer ell, got {ell}")
     elif epsilon == -1:
-        if (2 * ell).denominator != 1 or (2 * ell) % 2 != 1 or ell < 0:
+        # half-odd: lowest terms odd/2
+        if den != 2 or num < 0:
             raise ValueError(
                 f"odd sector requires half-odd positive ell, got {ell}")
     else:
@@ -315,9 +407,12 @@ def lambda_radicand(ell, epsilon: int, params: WignerParams) -> Fraction:
     4*(ell+nu1)*(ell+nu2) in the odd sector."""
     ell = Fraction(ell)
     _validate_sector_ell(ell, epsilon, allow_zero=True)
+    p, q = ell.numerator, ell.denominator
+    (a, b), (c, d) = [(nu.numerator, nu.denominator)
+                      for nu in (params.nu1, params.nu2)]
     if epsilon == 1:
-        return 4 * ell * (ell + params.nu1 + params.nu2)
-    return 4 * (ell + params.nu1) * (ell + params.nu2)
+        return Fraction(4 * p * (p * b * d + a * q * d + c * q * b), q * q * b * d)
+    return Fraction(4 * (p * b + a * q) * (p * d + c * q), q * q * b * d)
 
 
 def lambda_value(ell, epsilon: int, branch: int, params: WignerParams) -> float:
@@ -341,34 +436,45 @@ def _sqrt_exact(q: Fraction):
     return None
 
 
+def _coordinates(f: TrigPoly, n_even: int, n_odd: int):
+    """(integer vector, den): f's even then odd coefficients, zero-padded to
+    n_even and n_odd entries, over one common denominator."""
+    e, o = f.even, f.odd
+    den = math.lcm(e._d, o._d)
+    se, so = den // e._d, den // o._d
+    vec = ([x * se for x in e._n] + [0] * (n_even - len(e._n))
+           + [x * so for x in o._n] + [0] * (n_odd - len(o._n)))
+    return vec, den
+
+
 def _expand_in_basis(g: TrigPoly, f1: TrigPoly, f2: TrigPoly):
-    """Exact coefficients (m1, m2) with g = m1*f1 + m2*f2, or raise."""
-    keys = set()
-    for f in (g, f1, f2):
-        keys |= {("e", k) for k in range(len(f.even.coeffs))}
-        keys |= {("o", k) for k in range(len(f.odd.coeffs))}
+    """Exact coefficients (m1, m2) with g = m1*f1 + m2*f2, or raise.
 
-    def coord(f, key):
-        part, k = key
-        return (f.even if part == "e" else f.odd)[k]
-
-    rows = [(coord(f1, k), coord(f2, k), coord(g, k)) for k in sorted(keys)]
-    pivot1 = next((r for r in rows if r[0] != 0), None)
-    if pivot1 is None:
+    On integer coordinates over common denominators, g = m1 f1 + m2 f2 reads
+    G = u1 F1 + u2 F2 with m_k = u_k den_k / den_g; (u1, u2) comes from
+    Cramer's rule on two independent rows and is then checked on every row
+    with the products cross-multiplied, so no fraction is formed until the
+    result.
+    """
+    n_even = max(len(f.even._n) for f in (g, f1, f2))
+    n_odd = max(len(f.odd._n) for f in (g, f1, f2))
+    (gv, gd), (v1, d1), (v2, d2) = (_coordinates(f, n_even, n_odd)
+                                    for f in (g, f1, f2))
+    i = next((k for k, x in enumerate(v1) if x), None)
+    if i is None:
         raise ValueError("first basis function vanishes")
-    a1, a2, b = pivot1
-    # eliminate m1 and solve for m2 from any remaining independent row
-    m2 = Fraction(0)
-    for r in rows:
-        ca = r[1] - r[0] * a2 / a1
-        if ca != 0:
-            m2 = (r[2] - r[0] * b / a1) / ca
+    # det * (u1, u2) = (n1, n2)
+    for j in range(len(v1)):
+        det = v1[i] * v2[j] - v1[j] * v2[i]
+        if det:
+            n1 = gv[i] * v2[j] - gv[j] * v2[i]
+            n2 = v1[i] * gv[j] - v1[j] * gv[i]
             break
-    m1 = (b - a2 * m2) / a1
-    check = m1 * f1 + m2 * f2
-    if not (check.even == g.even and check.odd == g.odd):
+    else:
+        det, n1, n2 = v1[i], gv[i], 0
+    if any(det * z != n1 * x + n2 * y for z, x, y in zip(gv, v1, v2)):
         raise ValueError("function does not lie in the candidate space")
-    return m1, m2
+    return Fraction(n1 * d1, det * gd), Fraction(n2 * d2, det * gd)
 
 
 def sector_basis(ell, eps1: int, eps2: int, params: WignerParams):
@@ -432,8 +538,8 @@ class AngularEigenpair:
 
     def eigenfunction_coeffs(self):
         """Complex coefficient lists (even, odd) of the eigenfunction."""
-        ne = max(len(f.even.coeffs) for f in self.basis)
-        no = max(len(f.odd.coeffs) for f in self.basis)
+        ne = max(f.even.degree() + 1 for f in self.basis)
+        no = max(f.odd.degree() + 1 for f in self.basis)
         even = [sum(w * complex(float(f.even[k])) for w, f in
                     zip(self.weights, self.basis)) for k in range(ne)]
         odd = [sum(w * complex(float(f.odd[k])) for w, f in

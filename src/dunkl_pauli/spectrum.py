@@ -199,28 +199,41 @@ def _hyp_parameters(state: SectorState, params: WignerParams):
     return a, 1.0 + root
 
 
+# largest accepted distance of the computed hypergeometric a from -n
+A_TOLERANCE = 1e-9
+# r_max growths allowed in radial_norm_constant (r_max <= 8 * 1.5**16 ~ 5e3
+# oscillator lengths)
+NORM_MAX_GROWTHS = 16
+
+
 def radial_wavefunction(state: SectorState, scale: OscillatorScale,
                         params: WignerParams, r: float, norm: float = 1.0) -> float:
-    """Unnormalized radial factor norm * exp(-m w r^2/4) r^(2 ell) M(a, b; m w r^2/2).
+    """Unnormalized radial factor norm * exp(-m w r^2/4) r^(2 ell) M(-n, b; m w r^2/2).
 
-    The hypergeometric first argument reduces to -n when the energy is the
-    quantized closed-form value, so the series terminates.
+    The hypergeometric first argument a reduces to -n when the energy is the
+    quantized closed-form value.  In floats the computed a can be an ulp off,
+    which would select the non-terminating series, so -n is taken from the
+    state; a computed a more than A_TOLERANCE from -n raises ArithmeticError.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     a, b = _hyp_parameters(state, params)
+    if abs(a + state.n) > A_TOLERANCE:
+        raise ArithmeticError(
+            f"hypergeometric parameter a = {a!r} is not -n = {-state.n} for {state}")
     mw = scale.mass * scale.omega_c
     twol = 2.0 * float(state.ell)
     radial_power = 1.0 if twol == 0 else r ** twol
-    return norm * math.exp(-0.25 * mw * r * r) * radial_power * hyp1f1(a, b, 0.5 * mw * r * r)
+    return (norm * math.exp(-0.25 * mw * r * r) * radial_power
+            * hyp1f1(float(-state.n), b, 0.5 * mw * r * r))
 
 
 def radial_norm_constant(state: SectorState, scale: OscillatorScale,
                          params: WignerParams) -> float:
     """Normalization constant against the radial measure r^(1+2nu1+2nu2) dr.
 
-    Quadrature on [0, R] with R grown adaptively until the Gaussian tail is
-    negligible.
+    Quadrature on [0, R] with R grown by factors of 1.5 until the Gaussian
+    tail is negligible; ArithmeticError after NORM_MAX_GROWTHS growths.
     """
     nu1, nu2 = params.as_floats()
     weight_pow = 1.0 + 2.0 * nu1 + 2.0 * nu2
@@ -230,11 +243,11 @@ def radial_norm_constant(state: SectorState, scale: OscillatorScale,
         return f * f * r ** weight_pow
 
     r_max = math.sqrt(2.0 / (scale.mass * scale.omega_c)) * 8.0
-    total = 0.0
-    while True:
+    for _ in range(NORM_MAX_GROWTHS + 1):
         total, _ = quad(integrand, 0.0, r_max, limit=200)
         tail, _ = quad(integrand, r_max, 1.5 * r_max, limit=50)
         if abs(tail) <= 1e-14 * max(total, 1e-300):
-            break
+            return 1.0 / math.sqrt(total)
         r_max *= 1.5
-    return 1.0 / math.sqrt(total)
+    raise ArithmeticError(
+        f"norm integral of {state} did not converge within r_max = {r_max:g}")

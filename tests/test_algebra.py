@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,8 @@ NU = WignerParams(F(2, 5), F(2, 5))
 coeffs = st.fractions(min_value=-10, max_value=10, max_denominator=30)
 exponents = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
     lambda e: e[0] + e[1] <= 8)
-polys = st.dictionaries(exponents, coeffs, max_size=8).map(BivarPoly)
+coeff_dicts = st.dictionaries(exponents, coeffs, max_size=8)
+polys = coeff_dicts.map(BivarPoly)
 nus = st.fractions(min_value=F(-49, 100), max_value=2, max_denominator=100)
 params_st = st.builds(WignerParams, nus, nus)
 
@@ -157,3 +159,85 @@ def test_angular_momentum_action_printed_variant_differs():
     good = angular_momentum_action(p, NU)
     bad = angular_momentum_action(p, NU, as_printed=True)
     assert good != bad
+
+
+# BivarPoly against a plain {(i, j): Fraction} reference, one operation at a
+# time, with the canonical form checked on every result
+
+def ref_of(coeffs: dict) -> dict:
+    return {m: F(c) for m, c in coeffs.items() if c}
+
+
+def checked(p: BivarPoly) -> dict:
+    """p's coefficients as a reference dict, after asserting the canonical
+    form: positive denominator coprime to the integer numerators, no stored
+    zero, denominator 1 for the zero polynomial."""
+    nums, den = p._n, p._d
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
+    assert nums or den == 1
+    got = p.coeffs
+    assert all(type(c) is F and c != 0 for c in got.values())
+    return got
+
+
+def ref_linear(terms) -> dict:
+    out = {}
+    for scale, ref in terms:
+        for m, c in ref.items():
+            out[m] = out.get(m, F(0)) + scale * c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, F(0)) + x * y
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_lower(ref: dict, axis: int, factor, step: int = 1) -> dict:
+    """sum factor(e) c x^m / x_axis^step over monomials, e the x_axis power."""
+    out = {}
+    for (i, j), c in ref.items():
+        e = i if axis == 1 else j
+        f = factor(e)
+        if f:
+            m = (i - step, j) if axis == 1 else (i, j - step)
+            out[m] = out.get(m, F(0)) + f * c
+    return {m: c for m, c in out.items() if c}
+
+
+@given(coeff_dicts, coeff_dicts, coeffs)
+def test_bivar_poly_arithmetic_matches_reference(a, b, alpha):
+    p, q, ra, rb = BivarPoly(a), BivarPoly(b), ref_of(a), ref_of(b)
+    assert checked(p) == ra
+    assert checked(p + q) == ref_linear([(1, ra), (1, rb)])
+    assert checked(p - q) == ref_linear([(1, ra), (-1, rb)])
+    assert checked(-p) == ref_linear([(-1, ra)])
+    assert checked(p * q) == ref_mul(ra, rb)
+    assert checked(alpha * p) == checked(p * alpha) == ref_linear([(alpha, ra)])
+    assert checked(p * -6) == ref_linear([(-6, ra)])
+    assert (p == q) == (ra == rb)
+    assert p == BivarPoly(p.coeffs) and hash(p) == hash(BivarPoly(p.coeffs))
+
+
+@given(coeff_dicts, params_st)
+def test_bivar_operators_match_reference(a, params):
+    p, ra = BivarPoly(a), ref_of(a)
+    for axis in (1, 2):
+        nu = params.nu(axis)
+        k = axis - 1
+        assert checked(reflect(p, axis)) == {
+            m: (-c if m[k] % 2 else c) for m, c in ra.items()}
+        assert checked(partial_derive(p, axis)) == ref_lower(ra, axis, lambda e: e)
+        assert checked(dunkl_derive(p, axis, params)) == ref_lower(
+            ra, axis, lambda e: e + 2 * nu if e % 2 else e)
+    expanded = ref_linear([
+        (1, ref_lower(ra, axis, lambda e, nu=params.nu(axis):
+                      e * (e - 1) + 2 * nu * (e - e % 2), step=2))
+        for axis in (1, 2)])
+    assert checked(dunkl_laplacian_expanded(p, params)) == expanded

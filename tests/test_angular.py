@@ -48,6 +48,103 @@ def test_poly1_compose_neg():
     assert p.compose_neg().compose_neg() == p
 
 
+# Poly1 against a plain {exponent: Fraction} reference, one operation at a
+# time, with the canonical form checked on every result
+
+coeff_lists = st.lists(coeffs, max_size=9)
+wide_coeffs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
+
+
+def ref_of(values) -> dict:
+    return {k: F(c) for k, c in enumerate(values) if c}
+
+
+def checked(p: Poly1) -> dict:
+    """p's coefficients as a reference dict, after asserting the canonical
+    form: positive denominator coprime to the integer numerators, no
+    trailing zero, denominator 1 for the zero polynomial."""
+    nums, den = p._n, p._d
+    assert type(den) is int and den > 0
+    assert all(type(n) is int for n in nums)
+    assert not nums or nums[-1] != 0
+    assert math.gcd(den, *nums) == 1
+    assert nums or den == 1
+    assert all(type(c) is F for c in p.coeffs)
+    return {k: c for k, c in enumerate(p.coeffs) if c}
+
+
+def ref_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, F(0)) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, F(0)) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+@given(coeff_lists, coeff_lists, coeffs)
+def test_poly1_arithmetic_matches_reference(a, b, alpha):
+    p, q, ra, rb = Poly1(a), Poly1(b), ref_of(a), ref_of(b)
+    assert checked(p) == ra
+    assert checked(p + q) == ref_add(ra, rb)
+    assert checked(p - q) == ref_add(ra, rb, -1)
+    assert checked(-p) == {k: -c for k, c in ra.items()}
+    assert checked(p * q) == ref_mul(ra, rb)
+    assert checked(alpha * p) == checked(p * alpha) == {
+        k: alpha * c for k, c in ra.items() if alpha * c}
+    assert checked(p * 3) == {k: 3 * c for k, c in ra.items()}
+    assert checked(p + alpha) == ref_add(ra, {0: alpha} if alpha else {})
+    assert checked(alpha - p) == ref_add({0: alpha} if alpha else {}, ra, -1)
+    if alpha:
+        assert checked(p / alpha) == {k: c / alpha for k, c in ra.items()}
+    assert checked(p / -7) == {k: c / -7 for k, c in ra.items()}
+    assert (p == q) == (ra == rb)
+    assert p == Poly1(p.coeffs) and hash(p) == hash(Poly1(p.coeffs))
+
+
+@given(coeff_lists, st.integers(0, 4))
+def test_poly1_structural_operations_match_reference(a, k):
+    p, ra = Poly1(a), ref_of(a)
+    assert checked(p.derivative()) == {e - 1: e * c for e, c in ra.items() if e}
+    assert checked(p.compose_neg()) == {e: (-c if e % 2 else c) for e, c in ra.items()}
+    assert checked(p.odd_shift()) == {e - 1: c for e, c in ra.items() if e % 2}
+    assert checked(p.shift_up(k)) == {e + k: c for e, c in ra.items()}
+    if 0 in ra:
+        with pytest.raises(ArithmeticError):
+            p.div_c()
+    else:
+        assert checked(p.div_c()) == {e - 1: c for e, c in ra.items()}
+    assert p.degree() == max(ra, default=-1)
+    assert all(p[e] == ra.get(e, 0) and type(p[e]) is F for e in range(-1, len(a) + 2))
+
+
+@given(coeff_lists, coeffs)
+def test_poly1_exact_evaluation_matches_reference(a, v):
+    p = Poly1(a)
+    want = sum((c * v ** e for e, c in ref_of(a).items()), F(0))
+    assert p.evaluate(v) == want and type(p.evaluate(v)) is F
+    assert p.evaluate(int(v)) == sum((c * int(v) ** e for e, c in ref_of(a).items()), F(0))
+
+
+@given(st.lists(wide_coeffs, max_size=12), st.lists(coeffs, max_size=4),
+       st.floats(-3, 3, allow_nan=False))
+def test_poly1_float_evaluation_bit_identical_to_fraction_horner(a, b, t):
+    for p in (Poly1(a), Poly1(a) * Poly1(b), Poly1(a).derivative()):
+        want = 0.0
+        for c in reversed(p.coeffs):
+            want = want * t + c  # float + Fraction rounds float(c) first
+        got = p.evaluate(t)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert p.evaluate(t) == got  # again, from the cached coefficients
+
+
 # ---------------------------------------------------------------- TrigPoly
 
 def test_trig_poly_reflections():

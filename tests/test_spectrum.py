@@ -7,6 +7,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_pauli import spectrum
 from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.angular import lambda_value
 from dunkl_pauli.spectrum import (OscillatorScale, SectorState, energy,
@@ -273,3 +274,40 @@ def test_normalization_quadrature():
 
     total, _ = quad(integrand, 0, 25, limit=300)
     assert total == pytest.approx(1.0, rel=1e-9)
+
+
+def test_wavefunction_terminates_when_computed_a_is_an_ulp_off():
+    # the computed hypergeometric a is -2.2e-16 here instead of -n = 0; the
+    # non-terminating series it selected gave -6.4e25 at r = 20 and -inf at
+    # r = 40, and the norm loop grew r_max forever
+    state = SectorState(-1, 1, 0, F(1, 2), -1)
+    params = WignerParams(F(-2, 5), F(-1, 5))
+    radii = (1.0, 5.0, 10.0, 20.0, 40.0)
+    vals = [radial_wavefunction(state, SCALE, params, r) for r in radii]
+    assert all(math.isfinite(v) and v > 0 for v in vals)
+    assert vals[1:] == sorted(vals[1:], reverse=True)
+    for r, v in zip(radii, vals):  # n = 0: exp(-r^2/4) r^(2 ell), ell = 1/2
+        assert v == pytest.approx(math.exp(-0.25 * r * r) * r, rel=1e-13)
+    c = radial_norm_constant(state, SCALE, params)
+    assert math.isfinite(c) and c > 0
+
+
+def test_wavefunction_rejects_unquantized_hypergeometric_parameter(monkeypatch):
+    exact = spectrum.energy_over_omega_c
+    monkeypatch.setattr(spectrum, "energy_over_omega_c",
+                        lambda st, p: exact(st, p) + 1e-6)
+    with pytest.raises(ArithmeticError):
+        radial_wavefunction(SectorState(1, 1, 1, 1, 1), SCALE, NU44, 1.0)
+
+
+def test_norm_constant_gives_up_after_bounded_growth(monkeypatch):
+    calls = []
+
+    def never_negligible(f, lo, hi, limit):
+        calls.append(hi)
+        return 1.0, 0.0
+
+    monkeypatch.setattr(spectrum, "quad", never_negligible)
+    with pytest.raises(ArithmeticError):
+        radial_norm_constant(SectorState(1, 1, 0, 1, 1), SCALE, NU44)
+    assert len(calls) == 2 * (spectrum.NORM_MAX_GROWTHS + 1)

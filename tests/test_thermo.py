@@ -93,8 +93,10 @@ def test_helmholtz_is_minus_log_z_over_x():
 
 
 def test_helmholtz_examples():
-    # x -> infinity at rho = 0, eta = 1/2: ground-state energy 0 of that ladder
-    assert helmholtz(ThermoInputs(500.0, 0.0, 0.5)) == pytest.approx(0.0, abs=1e-12)
+    # x -> infinity at rho = 0, eta = 1/2: ground-state energy 0 of that
+    # ladder, approached from below as F = -log(coth(x/2))/x; the value is
+    # mpmath's round-to-nearest of -(log1p(q) - log1p(-q))/x, q = exp(-x)
+    assert helmholtz(ThermoInputs(500.0, 0.0, 0.5)) == -2.849830562696514e-220
     got = helmholtz(ThermoInputs(2.0, 0.0, 0.5))
     assert got == pytest.approx(0.5 * math.log(math.tanh(1.0)), rel=1e-14)
     assert got == pytest.approx(-0.13617073445591577, rel=1e-13)
@@ -158,7 +160,9 @@ def test_heat_capacity_mode_independent():
 
 
 def test_entropy_third_law_consistent():
-    assert entropy(ThermoInputs(60.0, 1.0, 0.9)) == pytest.approx(0.0, abs=1e-12)
+    # S -> 0+ as T -> 0; the value is mpmath's round-to-nearest of
+    # log Z - x d(log Z)/dx for the ladder summed at 120 digits
+    assert entropy(ThermoInputs(60.0, 1.0, 0.9)) == 5.341471565244877e-25
 
 
 def test_entropy_consistent_satisfies_f_u_ts():
