@@ -525,7 +525,6 @@ class AngularEigenpair:
     lam_exact: Fraction | None
     basis: tuple[TrigPoly, ...]
     weights: tuple[complex, ...]
-    g_matrix: tuple[tuple[Fraction, ...], ...]
     params: WignerParams
     is_constant_mode: bool = False
 
@@ -590,8 +589,7 @@ def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
 
     if epsilon == 1 and ell == 0:
         return AngularEigenpair(eps1, eps2, ell, branch, 0.0, Fraction(0),
-                                (TrigPoly.one(),), (1 + 0j,),
-                                ((Fraction(0),),), params,
+                                (TrigPoly.one(),), (1 + 0j,), params,
                                 is_constant_mode=True)
 
     f1, f2 = sector_basis(ell, eps1, eps2, params)
@@ -620,4 +618,4 @@ def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
         lam_exact = None
         lam = branch * math.sqrt(float(det))
     return AngularEigenpair(eps1, eps2, ell, branch, lam, lam_exact,
-                            (f1, f2), _float_eigvec(m, lam), m, params)
+                            (f1, f2), _float_eigvec(m, lam), params)

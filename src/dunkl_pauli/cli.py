@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,14 +24,16 @@ from .spectrum import (SECTORS, SectorState, energy_over_omega_c, eta,
 from .thermo import MODES, QUANTITIES, ThermoInputs, log_grid, sweep
 
 
-class UsageError(ValueError):
-    pass
+def _sector_name(sector: tuple[int, int], signs: str = "+-") -> str:
+    """'+-' for the sector (1, -1); with signs='pm', its file code 'pm'."""
+    return "".join(signs[0] if eps == 1 else signs[1] for eps in sector)
 
 
-_SECTORS = {"++": (1, 1), "--": (-1, -1), "+-": (1, -1), "-+": (-1, 1),
-            "pp": (1, 1), "mm": (-1, -1), "pm": (1, -1), "mp": (-1, 1)}
-_SECTOR_NAMES = {(1, 1): "++", (-1, -1): "--", (1, -1): "+-", (-1, 1): "-+"}
-_SECTOR_FILE = {(1, 1): "pp", (-1, -1): "mm", (1, -1): "pm", (-1, 1): "mp"}
+# every spelling --sector accepts: the four names and their file codes
+_SECTOR_BY_NAME = {_sector_name(sector, signs): sector
+                   for signs in ("+-", "pm") for sector in SECTORS}
+_BRANCH_SIGNS = {"+": 1, "-": -1, "+1": 1, "-1": -1}
+_SPIN_FILTERS = {"both": (-1, 1), "+1": (1,), "-1": (-1,), "1": (1,)}
 
 # default deformation sweep for the sector-fixed figure family: the diagonal
 # nu1 = nu2 over {-0.4 ... 0.4} plus the anti-diagonal nu1 = -nu2
@@ -44,83 +45,63 @@ _FIGURE_NU_PANELS = {"a": (Fraction(2, 5), Fraction(2, 5)),
                      "b": (Fraction(2, 5), Fraction(-2, 5)),
                      "c": (Fraction(-2, 5), Fraction(2, 5)),
                      "d": (Fraction(-2, 5), Fraction(-2, 5))}
-_FIGURE_SECTOR_PANELS = {"a": (1, 1), "b": (-1, -1), "c": (1, -1), "d": (-1, 1)}
+_FIGURE_SECTOR_PANELS = dict(zip("abcd", SECTORS))
 _FIGURE_QUANTITY = {1: "Z", 2: "Z", 3: "U", 4: "U",
                     5: "C", 6: "C", 7: "S", 8: "S"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters; constructed fully before any computation."""
+def _fraction(option: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse {option} {text!r}") from None
 
-    subcommand: str
-    nu1: str = "0"
-    nu2: str = "0"
-    sector: str = "++"
-    ell: str | None = None
-    n_max: int = 3
-    l_max: str = "3"
-    m_s: str = "both"
-    branch: str = "+"
-    mode: str = "consistent"
-    quantity: str | None = None
-    t_min: float = 0.01
-    t_max: float = 10.0
-    steps: int = 400
-    out: str | None = None
-    figure: str | None = None
-    skip_oracle: bool = False
 
-    def params(self) -> WignerParams:
+def _validate(args: argparse.Namespace) -> None:
+    """Check every option of the parsed subcommand before any computation.
+
+    The converted values are added to ``args`` under their own names:
+    ``params``, ``sector_pair``, ``sign``, ``ell_value``, ``spins``,
+    ``lmax_value``, ``fig_num``, ``panels`` and ``taus``.  The options keep
+    the spelling they were given, which a figure manifest records.  A bad
+    value raises ValueError, which ``main`` reports as a usage error.
+    """
+    if "nu1" in args:
         try:
-            return WignerParams(Fraction(self.nu1), Fraction(self.nu2))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(str(exc)) from exc
-
-    def sector_pair(self) -> tuple[int, int]:
-        try:
-            return _SECTORS[self.sector]
-        except KeyError:
-            raise UsageError(
-                f"unknown sector {self.sector!r} (use ++, --, +-, -+)") from None
-
-    def branch_sign(self) -> int:
-        signs = {"+": 1, "-": -1, "+1": 1, "-1": -1}
-        if self.branch not in signs:
-            raise UsageError(f"branch must be + or -, got {self.branch!r}")
-        return signs[self.branch]
-
-    def ell_fraction(self) -> Fraction | None:
-        if self.ell is None:
-            return None
-        try:
-            return Fraction(self.ell)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse ell {self.ell!r}") from None
-
-    def spin_values(self) -> tuple[int, ...]:
-        table = {"both": (-1, 1), "+1": (1,), "-1": (-1,), "1": (1,)}
-        if self.m_s not in table:
-            raise UsageError(f"ms filter must be +1, -1 or both, got {self.m_s!r}")
-        return table[self.m_s]
-
-    def tau_grid(self) -> tuple[float, ...]:
-        if not 0 < self.t_min < self.t_max < math.inf:
-            raise UsageError("need 0 < tmin < tmax, both finite")
-        if self.steps < 2:
-            raise UsageError("need at least 2 grid points")
-        return log_grid(self.t_min, self.t_max, self.steps)
-
-    def validate_common(self) -> None:
-        self.params()
-        self.sector_pair()
-        self.branch_sign()
-        self.ell_fraction()
-        self.spin_values()
-        if self.mode not in MODES:
-            raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n_max < 0:
-            raise UsageError("nmax must be nonnegative")
+            args.params = WignerParams(args.nu1, args.nu2)
+        except ZeroDivisionError as exc:
+            raise ValueError(str(exc)) from None
+        if args.sector not in _SECTOR_BY_NAME:
+            raise ValueError(
+                f"unknown sector {args.sector!r} (use ++, --, +-, -+)")
+        args.sector_pair = _SECTOR_BY_NAME[args.sector]
+    if "branch" in args:
+        if args.branch not in _BRANCH_SIGNS:
+            raise ValueError(f"branch must be + or -, got {args.branch!r}")
+        args.sign = _BRANCH_SIGNS[args.branch]
+    if "ell" in args:
+        args.ell_value = None if args.ell is None else _fraction("ell", args.ell)
+    if "ms" in args:
+        if args.ms not in _SPIN_FILTERS:
+            raise ValueError(f"ms filter must be +1, -1 or both, got {args.ms!r}")
+        args.spins = _SPIN_FILTERS[args.ms]
+        if args.nmax < 0:
+            raise ValueError("nmax must be nonnegative")
+        args.lmax_value = _fraction("lmax", args.lmax)
+    if "figure" in args:
+        fig = args.figure.strip().lower()
+        # fig[1:] is empty (all four panels) or one panel letter
+        if len(fig) not in (1, 2) or fig[0] not in "12345678" \
+                or fig[1:] not in "abcd":
+            raise ValueError(
+                f"figure must be 1-8 with optional panel a-d, got {fig!r}")
+        args.fig_num, args.panels = int(fig[0]), fig[1:] or "abcd"
+    if "steps" in args:
+        if not 0 < args.tmin < args.tmax < math.inf:
+            raise ValueError("need 0 < tmin < tmax, both finite")
+        if args.steps < 2:
+            raise ValueError("need at least 2 grid points")
+        args.taus = log_grid(args.tmin, args.tmax, args.steps)
 
 
 def _fmt(v: float) -> str:
@@ -135,30 +116,19 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    config.validate_common()
-    params = config.params()
-    eps1, eps2 = config.sector_pair()
-    branch = config.branch_sign()
-    try:
-        l_max = Fraction(config.l_max)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse lmax {config.l_max!r}") from None
-
-    single = config.ell_fraction()
-    ells = [single] if single is not None else [
-        ell for ell in lowest_ells(eps1 * eps2, math.floor(l_max) + 1)
-        if ell <= l_max]
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    params, sign = args.params, args.sign
+    eps1, eps2 = args.sector_pair
+    ells = [args.ell_value] if args.ell_value is not None else [
+        ell for ell in lowest_ells(eps1 * eps2, math.floor(args.lmax_value) + 1)
+        if ell <= args.lmax_value]
     rows = []
     for ell in ells:
-        try:
-            lam = lambda_value(ell, eps1 * eps2, branch, params)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        rh = rho(ell, eps1 * eps2, branch, params)
-        for n in range(config.n_max + 1):
-            for m_s in config.spin_values():
-                state = SectorState(eps1, eps2, n, ell, m_s, branch)
+        lam = lambda_value(ell, eps1 * eps2, sign, params)
+        rh = rho(ell, eps1 * eps2, sign, params)
+        for n in range(args.nmax + 1):
+            for m_s in args.spins:
+                state = SectorState(eps1, eps2, n, ell, m_s, sign)
                 rows.append((n, ell, m_s, lam, rh,
                              energy_over_omega_c(state, params)))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -168,43 +138,31 @@ def cmd_spectrum(config: RunConfig) -> int:
     lines = ["sector,nu1,nu2,n,ell,m_s,branch,lambda,rho,eta,energy_over_omega_c"]
     for n, ell, m_s, lam, rh, energy in rows:
         lines.append(",".join([
-            _SECTOR_NAMES[(eps1, eps2)], _fmt(nu1), _fmt(nu2), str(n),
-            _fmt(float(ell)), str(m_s), config.branch if config.branch in "+-" else
-            ("+" if branch == 1 else "-"),
+            _sector_name(args.sector_pair), _fmt(nu1), _fmt(nu2), str(n),
+            _fmt(float(ell)), str(m_s), "+" if sign == 1 else "-",
             _fmt(lam), _fmt(rh), _fmt(et), _fmt(energy)]))
-    _write_text(config.out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _ladder(config: RunConfig):
-    """(params, sector, ell, rho, eta) for a thermo-style invocation."""
-    params = config.params()
-    eps1, eps2 = config.sector_pair()
-    epsilon = eps1 * eps2
-    ell = config.ell_fraction()
-    if ell is None:
-        ell = lowest_ells(epsilon, 1)[0]
-    try:
-        rh = rho(ell, epsilon, config.branch_sign(), params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return params, (eps1, eps2), ell, rh, eta(eps1, eps2, params)
+def _ladder(sector, params: WignerParams, ell: Fraction, sign: int):
+    """(rho, eta) of one thermal ladder."""
+    return rho(ell, sector[0] * sector[1], sign, params), eta(*sector, params)
 
 
-def _thermo_csv(quantity: str, config: RunConfig, params, sector, ell,
-                rh: float, et: float) -> str:
-    curve = sweep(quantity, ThermoInputs(1.0, rh, et, config.mode),
-                  config.tau_grid())
+def _thermo_csv(args: argparse.Namespace, quantity: str, sector,
+                params: WignerParams, ell: Fraction, rh: float, et: float) -> str:
+    curve = sweep(quantity, ThermoInputs(1.0, rh, et, args.mode), args.taus)
     nu1, nu2 = params.as_floats()
     lines = [
         "# dunkl-pauli thermo sweep",
         f"# quantity = {quantity}",
-        f"# mode = {config.mode}",
-        f"# sector = {_SECTOR_NAMES[sector]}",
+        f"# mode = {args.mode}",
+        f"# sector = {_sector_name(sector)}",
         f"# nu1 = {_fmt(nu1)}",
         f"# nu2 = {_fmt(nu2)}",
         f"# ell = {ell}",
-        f"# branch = {'+' if config.branch_sign() == 1 else '-'}",
+        f"# branch = {'+' if args.sign == 1 else '-'}",
         f"# rho = {_fmt(rh)}",
         f"# eta = {_fmt(et)}",
         "tau,value",
@@ -213,95 +171,85 @@ def _thermo_csv(quantity: str, config: RunConfig, params, sector, ell,
     return "\n".join(lines) + "\n"
 
 
-def cmd_thermo(config: RunConfig) -> int:
-    config.validate_common()
-    if config.quantity not in QUANTITIES:
-        raise UsageError(
-            f"quantity must be one of {sorted(QUANTITIES)}, got {config.quantity!r}")
-    params, sector, ell, rh, et = _ladder(config)
-    _write_text(config.out,
-                _thermo_csv(config.quantity, config, params, sector, ell, rh, et))
+def cmd_thermo(args: argparse.Namespace) -> int:
+    sector, params, ell = args.sector_pair, args.params, args.ell_value
+    if ell is None:
+        ell = lowest_ells(sector[0] * sector[1], 1)[0]
+    rh, et = _ladder(sector, params, ell, args.sign)
+    _write_text(args.out,
+                _thermo_csv(args, args.quantity, sector, params, ell, rh, et))
     return 0
 
 
-def _figure_curves(fig_num: int, panel: str, config: RunConfig):
-    """Curve specs (label, sector, nu-pair, ell) for one figure panel."""
-    override = config.ell_fraction()
+def _figure_curves(fig_num: int, panel: str, override: Fraction | None,
+                   sign: int):
+    """(label, sector, params, ell, rho, eta) of each curve of one figure
+    panel.  An ell override applies to the sectors whose parity it has."""
 
-    def pick_ell(epsilon: int) -> Fraction:
-        default = lowest_ells(epsilon, 1)[0]
+    def curve(label: str, sector, params: WignerParams):
+        epsilon = sector[0] * sector[1]
+        ell = lowest_ells(epsilon, 1)[0]
         if override is not None:
             half_odd = (2 * override).numerator % 2 == 1
             if (epsilon == -1) == half_odd:
-                return override
-        return default
+                ell = override
+        return (label, sector, params, ell, *_ladder(sector, params, ell, sign))
 
-    curves = []
     if fig_num % 2 == 1:  # sector fixed by panel, deformation swept
         sector = _FIGURE_SECTOR_PANELS[panel]
-        epsilon = sector[0] * sector[1]
-        for nu1, nu2 in _FIGURE_NU_SWEEP:
-            label = f"nu1_{float(nu1):g}_nu2_{float(nu2):g}"
-            curves.append((label, sector, (nu1, nu2), pick_ell(epsilon)))
-    else:  # deformation fixed by panel, sector swept
-        nu_pair = _FIGURE_NU_PANELS[panel]
-        for sector in SECTORS:
-            label = f"sector_{_SECTOR_FILE[sector]}"
-            curves.append((label, sector, nu_pair, pick_ell(sector[0] * sector[1])))
-    return curves
+        return [curve(f"nu1_{float(nu1):g}_nu2_{float(nu2):g}", sector,
+                      WignerParams(nu1, nu2)) for nu1, nu2 in _FIGURE_NU_SWEEP]
+    # deformation fixed by panel, sector swept
+    params = WignerParams(*_FIGURE_NU_PANELS[panel])
+    return [curve(f"sector_{_sector_name(sector, 'pm')}", sector, params)
+            for sector in SECTORS]
 
 
-def cmd_figure(config: RunConfig) -> int:
-    config.validate_common()
-    fig = (config.figure or "").strip().lower()
-    if not fig or fig[0] not in "12345678":
-        raise UsageError(f"figure must be 1-8 with optional panel a-d, got {fig!r}")
-    fig_num = int(fig[0])
-    panels = list(fig[1:]) if len(fig) > 1 else ["a", "b", "c", "d"]
-    if len(fig) > 2 or any(p not in "abcd" for p in panels):
-        raise UsageError(f"figure must be 1-8 with optional panel a-d, got {fig!r}")
-
-    out_dir = Path(config.out or "figures")
+def cmd_figure(args: argparse.Namespace) -> int:
+    # every curve's ladder is computed before anything is written, so an ell
+    # that a sector rejects leaves no partial bundle behind
+    panels = {panel: _figure_curves(args.fig_num, panel, args.ell_value, args.sign)
+              for panel in args.panels}
+    out_dir = Path(args.out or "figures")
     out_dir.mkdir(parents=True, exist_ok=True)
-    quantity = _FIGURE_QUANTITY[fig_num]
-    for panel in panels:
+    quantity = _FIGURE_QUANTITY[args.fig_num]
+    config = {"subcommand": args.subcommand, "figure": args.figure,
+              "ell": args.ell, "branch": args.branch, "mode": args.mode,
+              "t_min": args.tmin, "t_max": args.tmax, "steps": args.steps,
+              "out": args.out}
+    for panel, curves in panels.items():
         manifest = {
-            "figure": f"{fig_num}{panel}",
+            "figure": f"{args.fig_num}{panel}",
             "quantity": quantity,
-            "config": asdict(config),
+            "config": config,
             "curves": [],
         }
-        for label, sector, (nu1, nu2), ell in _figure_curves(fig_num, panel, config):
-            params = WignerParams(nu1, nu2)
-            epsilon = sector[0] * sector[1]
-            rh = rho(ell, epsilon, config.branch_sign(), params)
-            et = eta(sector[0], sector[1], params)
-            sub = RunConfig(**{**asdict(config), "sector": _SECTOR_NAMES[sector],
-                               "nu1": str(nu1), "nu2": str(nu2)})
-            csv_text = _thermo_csv(quantity, sub, params, sector, ell, rh, et)
-            fname = f"fig{fig_num}{panel}_{quantity}_{label}.csv"
+        for label, sector, params, ell, rh, et in curves:
+            csv_text = _thermo_csv(args, quantity, sector, params, ell, rh, et)
+            fname = f"fig{args.fig_num}{panel}_{quantity}_{label}.csv"
             (out_dir / fname).write_text(csv_text, encoding="utf-8", newline="\n")
+            nu1, nu2 = params.as_floats()
             manifest["curves"].append({
                 "file": fname,
-                "sector": _SECTOR_NAMES[sector],
-                "nu1": _fmt(float(nu1)),
-                "nu2": _fmt(float(nu2)),
+                "sector": _sector_name(sector),
+                "nu1": _fmt(nu1),
+                "nu2": _fmt(nu2),
                 "ell": str(ell),
                 "rho": _fmt(rh),
                 "eta": _fmt(et),
-                "mode": config.mode,
+                "mode": args.mode,
             })
-        (out_dir / f"fig{fig_num}{panel}_manifest.json").write_text(
+        (out_dir / f"fig{args.fig_num}{panel}_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8", newline="\n")
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = verify_mod.run_all(skip_oracle=config.skip_oracle)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = verify_mod.run_all(skip_oracle=args.skip_oracle)
     text = verify_mod.format_report(report)
-    if config.out:
-        _write_text(config.out, text + "\n")
+    if args.out:
+        _write_text(args.out, text + "\n")
     print(text)
     return 0 if report.ok else 1
 
@@ -323,17 +271,26 @@ class _SectorAction(argparse.Action):
         setattr(namespace, self.dest, "--" if values == [] else values)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_sector(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu1", default="0", help="first deformation parameter (> -1/2)")
     p.add_argument("--nu2", default="0", help="second deformation parameter (> -1/2)")
     p.add_argument("--sector", default="++", action=_SectorAction,
                    help="parity sector: ++, --, +-, -+ (or pp/mm/pm/mp)")
+
+
+def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:
     p.add_argument("--ell", default=None,
                    help="angular quantum number (integer or half-odd, e.g. 1/2)")
     p.add_argument("--branch", default="+", help="sign branch of lambda: + or -")
     p.add_argument("--mode", default="consistent", choices=list(MODES),
                    help="thermodynamic evaluation mode")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+    p.add_argument("--out", default=None, help=out_help)
+
+
+def _add_grid(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tmin", type=float, default=0.01, help="lowest tau = KT/omega_c")
+    p.add_argument("--tmax", type=float, default=10.0, help="highest tau")
+    p.add_argument("--steps", type=int, default=400, help="log-spaced grid points")
 
 
 def build_parser() -> _Parser:
@@ -343,72 +300,41 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     ps = sub.add_parser("spectrum", help="closed-form level table as CSV")
-    _add_common(ps)
+    _add_sector(ps)
+    _add_common(ps, "output file (default stdout)")
     ps.add_argument("--nmax", type=int, default=3, help="largest radial n")
     ps.add_argument("--lmax", default="3", help="largest ell to enumerate")
     ps.add_argument("--ms", default="both", help="spin filter: +1, -1 or both")
+    ps.set_defaults(run=cmd_spectrum)
 
     pt = sub.add_parser("thermo", help="thermal-quantity sweep as CSV")
-    _add_common(pt)
+    _add_sector(pt)
+    _add_common(pt, "output file (default stdout)")
     pt.add_argument("--quantity", required=True, choices=sorted(QUANTITIES),
                     help="which quantity to sweep")
-    pt.add_argument("--tmin", type=float, default=0.01, help="lowest tau = KT/omega_c")
-    pt.add_argument("--tmax", type=float, default=10.0, help="highest tau")
-    pt.add_argument("--steps", type=int, default=400, help="log-spaced grid points")
+    _add_grid(pt)
+    pt.set_defaults(run=cmd_thermo)
 
     pf = sub.add_parser("figure", help="CSV bundle for one published-figure layout")
-    _add_common(pf)
+    _add_common(pf, "output directory (default figures)")
     pf.add_argument("--figure", required=True,
                     help="figure id 1-8 with optional panel letter, e.g. 2a")
-    pf.add_argument("--tmin", type=float, default=0.01)
-    pf.add_argument("--tmax", type=float, default=10.0)
-    pf.add_argument("--steps", type=int, default=400)
+    _add_grid(pf)
+    pf.set_defaults(run=cmd_figure)
 
     pv = sub.add_parser("verify", help="run the verification suites")
     pv.add_argument("--skip-oracle", action="store_true",
                     help="exact suites only (skips the finite-difference oracle)")
     pv.add_argument("--out", default=None, help="also write the report to a file")
+    pv.set_defaults(run=cmd_verify)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        nu1=getattr(args, "nu1", "0"),
-        nu2=getattr(args, "nu2", "0"),
-        sector=getattr(args, "sector", "++"),
-        ell=getattr(args, "ell", None),
-        n_max=getattr(args, "nmax", 3),
-        l_max=getattr(args, "lmax", "3"),
-        m_s=getattr(args, "ms", "both"),
-        branch=getattr(args, "branch", "+"),
-        mode=getattr(args, "mode", "consistent"),
-        quantity=getattr(args, "quantity", None),
-        t_min=getattr(args, "tmin", 0.01),
-        t_max=getattr(args, "tmax", 10.0),
-        steps=getattr(args, "steps", 400),
-        out=getattr(args, "out", None),
-        figure=getattr(args, "figure", None),
-        skip_oracle=getattr(args, "skip_oracle", False),
-    )
-
-
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "thermo": cmd_thermo,
-    "figure": cmd_figure,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[config.subcommand](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _validate(args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

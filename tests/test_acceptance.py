@@ -227,9 +227,8 @@ def test_criterion_09_figure_properties_and_regression(tmp_path):
                   f"extra {named(produced.keys() - pinned.keys())}")
 
 
-def test_criterion_10_discrepancy_ledger(capsys):
-    code = cli.main(["verify", "--skip-oracle"])
-    out = capsys.readouterr().out
+def test_criterion_10_discrepancy_ledger(capsys, verify_run):
+    code, out = verify_run.code, verify_run.out
     confirmed = out.count("[confirmed]")
     keys_present = all(key in out for key in (
         "internal-energy rho sign", "entropy coth/tanh factor",

@@ -1,6 +1,5 @@
 import json
 import math
-import time
 
 import pytest
 
@@ -194,6 +193,26 @@ def test_figure_output_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("flag", ["--nu1", "--nu2", "--sector"])
+def test_figure_rejects_flags_it_would_ignore(capsys, flag):
+    # every figure curve takes its deformation and sector from the layout
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--figure", "2a", flag, "0.3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_figure_manifest_config_records_the_options_figure_reads(tmp_path, capsys):
+    code, _, _ = run(capsys, "figure", "--figure", "2A", "--out", str(tmp_path),
+                     "--steps", "8", "--branch", "+1", "--ell", "0.5")
+    assert code == 0
+    manifest = json.loads((tmp_path / "fig2a_manifest.json").read_text())
+    assert manifest["config"] == {
+        "subcommand": "figure", "figure": "2A", "ell": "0.5", "branch": "+1",
+        "mode": "consistent", "t_min": 0.01, "t_max": 10.0, "steps": 8,
+        "out": str(tmp_path)}
+
+
 def test_figure_unknown_id_exits_2(capsys):
     code, _, err = run(capsys, "figure", "--figure", "9a")
     assert code == 2 and err.startswith("error:")
@@ -203,22 +222,16 @@ def test_figure_unknown_id_exits_2(capsys):
 
 # ---------------------------------------------------------------- verify
 
-def test_verify_skip_oracle_passes_quickly(capsys):
-    t0 = time.monotonic()
-    code, out, _ = run(capsys, "verify", "--skip-oracle")
-    elapsed = time.monotonic() - t0
-    assert code == 0
-    assert elapsed < 10.0
-    assert "verification PASSED" in out
-    assert out.count("[confirmed]") == 4
+def test_verify_skip_oracle_passes_quickly(verify_run):
+    assert verify_run.code == 0
+    assert verify_run.elapsed < 10.0
+    assert "verification PASSED" in verify_run.out
+    assert verify_run.out.count("[confirmed]") == 4
 
 
-def test_verify_report_file(tmp_path, capsys):
-    report_file = tmp_path / "report.txt"
-    code, _, _ = run(capsys, "verify", "--skip-oracle", "--out",
-                     str(report_file))
-    assert code == 0
-    assert "PASS algebra" in report_file.read_text()
+def test_verify_report_file(verify_run):
+    assert verify_run.code == 0
+    assert "PASS algebra" in verify_run.report
 
 
 # ---------------------------------------------------------------- parsing
@@ -248,3 +261,48 @@ def test_argparse_errors_use_error_prefix(capsys):
         main(["thermo", "--quantity", "X"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+_THERMO = ("thermo", "--quantity", "Z")
+_FIGURE = ("figure", "--figure", "2a")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--nu1", "-0.5"),
+    (*_THERMO, "--nu2", "-0.9"),
+    ("spectrum", "--nu1", "abc"),
+    ("spectrum", "--nu2", "1/0"),
+    ("spectrum", "--sector", "+x"),
+    (*_THERMO, "--sector", "pq"),
+    ("spectrum", "--branch", "x"),
+    (*_FIGURE, "--branch", "+-"),
+    ("spectrum", "--ell", "one"),
+    (*_THERMO, "--ell", "1/0"),
+    (*_FIGURE, "--ell", "x"),
+    ("spectrum", "--sector", "++", "--ell", "1/2"),
+    (*_THERMO, "--sector", "+-", "--ell", "1"),
+    (*_FIGURE, "--ell=-1/2"),
+    ("figure", "--figure", "1", "--ell", "1/3"),
+    ("spectrum", "--lmax", "x"),
+    ("spectrum", "--ms", "up"),
+    ("spectrum", "--nmax", "-1"),
+    (*_THERMO, "--tmin", "2", "--tmax", "1"),
+    (*_THERMO, "--tmin", "1", "--tmax", "1"),
+    (*_THERMO, "--tmin", "-1"),
+    (*_THERMO, "--tmin", "nan"),
+    (*_THERMO, "--tmin", "inf"),
+    (*_FIGURE, "--tmax", "inf"),
+    (*_THERMO, "--steps", "1"),
+    (*_FIGURE, "--steps", "1"),
+    ("figure", "--figure", "9a"),
+    ("figure", "--figure", "2x"),
+    ("figure", "--figure", "2ab"),
+    ("figure", "--figure", " "),
+], ids=lambda argv: " ".join(argv))
+def test_usage_errors_are_reported_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
