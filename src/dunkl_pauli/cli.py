@@ -282,12 +282,12 @@ def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:
     p.add_argument("--ell", default=None,
                    help="angular quantum number (integer or half-odd, e.g. 1/2)")
     p.add_argument("--branch", default="+", help="sign branch of lambda: + or -")
-    p.add_argument("--mode", default="consistent", choices=list(MODES),
-                   help="thermodynamic evaluation mode")
     p.add_argument("--out", default=None, help=out_help)
 
 
-def _add_grid(p: argparse.ArgumentParser) -> None:
+def _add_thermal(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mode", default="consistent", choices=list(MODES),
+                   help="thermodynamic evaluation mode")
     p.add_argument("--tmin", type=float, default=0.01, help="lowest tau = KT/omega_c")
     p.add_argument("--tmax", type=float, default=10.0, help="highest tau")
     p.add_argument("--steps", type=int, default=400, help="log-spaced grid points")
@@ -312,14 +312,14 @@ def build_parser() -> _Parser:
     _add_common(pt, "output file (default stdout)")
     pt.add_argument("--quantity", required=True, choices=sorted(QUANTITIES),
                     help="which quantity to sweep")
-    _add_grid(pt)
+    _add_thermal(pt)
     pt.set_defaults(run=cmd_thermo)
 
     pf = sub.add_parser("figure", help="CSV bundle for one published-figure layout")
     _add_common(pf, "output directory (default figures)")
     pf.add_argument("--figure", required=True,
                     help="figure id 1-8 with optional panel letter, e.g. 2a")
-    _add_grid(pf)
+    _add_thermal(pf)
     pf.set_defaults(run=cmd_figure)
 
     pv = sub.add_parser("verify", help="run the verification suites")

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .algebra import WignerParams
 from .angular import _validate_sector_ell, lambda_value
 
@@ -156,98 +154,73 @@ def radical_identity_check(ell, epsilon: int, params: WignerParams):
     return lhs, rhs
 
 
-def hyp1f1(a: float, b: float, x: float, rtol: float = 1e-15,
-           max_terms: int = 100_000) -> float:
-    """Kummer confluent hypergeometric M(a, b, x) by the power series with
-    term-ratio recurrence.
-
-    Terminates exactly (degree-n polynomial) when a is a nonpositive integer
-    -n.  A nonpositive-integer b is a pole unless a is a nonpositive integer
-    of smaller magnitude, in which case the series stops first.
+def hyp1f1(a: float, b: float, x: float) -> float:
+    """Kummer's M(-n, b, x) = sum_k (-n)_k / (b)_k x^k / k!, a degree-n
+    polynomial, by its term-ratio recurrence.  Only this terminating case is
+    evaluated: ValueError unless a = -n is a nonpositive integer and b > 0.
     """
-    a_int = a == int(a)
-    b_int = b == int(b)
-    terminating = a_int and a <= 0
-    if b_int and b <= 0 and not (terminating and -a < -b):
-        raise ValueError(f"M(a,b,x) pole: b={b} is a nonpositive integer")
-    if terminating:
-        n = int(-a)
-        acc = term = 1.0
-        for k in range(n):
-            term *= (a + k) / (b + k) * x / (k + 1)
-            acc += term
-        return acc
+    if not (a <= 0 and float(a).is_integer() and b > 0):
+        raise ValueError(
+            f"M(a, b, x) needs a nonpositive integer a and b > 0, got a={a}, b={b}")
     acc = term = 1.0
-    small = 0
-    for k in range(max_terms):
+    for k in range(int(-a)):
         term *= (a + k) / (b + k) * x / (k + 1)
         acc += term
-        small = small + 1 if abs(term) <= rtol * abs(acc) else 0
-        if small >= 2:
-            return acc
-    raise ArithmeticError(f"series did not converge for M({a}, {b}, {x})")
+    return acc
 
 
-def _hyp_parameters(state: SectorState, params: WignerParams):
-    """(a, b) of the radial hypergeometric factor; a == -n for quantized E."""
+# largest accepted distance of the computed hypergeometric a from -n
+A_TOLERANCE = 1e-9
+
+
+def _kummer_b(state: SectorState, params: WignerParams) -> float:
+    """b = 1 + kappa of the radial factor M(-n, b, x), kappa = sqrt(D^2 + lam^2).
+
+    The hypergeometric first argument a reduces to -n for the quantized
+    energy.  A computed a more than A_TOLERANCE from -n raises
+    ArithmeticError, which cross-checks energy and wavefunction; otherwise
+    -n is taken from the state.
+    """
     nu1, nu2 = params.as_floats()
     lam = lambda_value(state.ell, state.epsilon, state.branch, params)
     d = nu1 + nu2 if state.epsilon == 1 else nu1 - nu2
     root = math.sqrt(d * d + lam * lam)
     e_over_w = energy_over_omega_c(state, params)
     a = 0.5 * (1.0 + lam + root) - state.m_s * eta(state.eps1, state.eps2, params) - e_over_w
-    return a, 1.0 + root
-
-
-# largest accepted distance of the computed hypergeometric a from -n
-A_TOLERANCE = 1e-9
-# r_max growths allowed in radial_norm_constant (r_max <= 8 * 1.5**16 ~ 5e3
-# oscillator lengths)
-NORM_MAX_GROWTHS = 16
+    if abs(a + state.n) > A_TOLERANCE:
+        raise ArithmeticError(
+            f"hypergeometric parameter a = {a!r} is not -n = {-state.n} for {state}")
+    return 1.0 + root
 
 
 def radial_wavefunction(state: SectorState, scale: OscillatorScale,
                         params: WignerParams, r: float, norm: float = 1.0) -> float:
-    """Unnormalized radial factor norm * exp(-m w r^2/4) r^(2 ell) M(-n, b; m w r^2/2).
+    """Radial factor norm * exp(-x/2) r^p M(-n, b, x) with x = m w r^2/2.
 
-    The hypergeometric first argument a reduces to -n when the energy is the
-    quantized closed-form value.  In floats the computed a can be an ulp off,
-    which would select the non-terminating series, so -n is taken from the
-    state; a computed a more than A_TOLERANCE from -n raises ArithmeticError.
+    p = kappa - (nu1 + nu2) is the regular Frobenius power at r = 0 and
+    b = 1 + kappa (see _kummer_b); M(-n, b, x) is the Laguerre polynomial
+    n!/(b)_n L_n^(b-1)(x) (DLMF 13.6).  On published ells the radical
+    identity makes p = 2 ell; at ell = 0 the two can differ.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    a, b = _hyp_parameters(state, params)
-    if abs(a + state.n) > A_TOLERANCE:
-        raise ArithmeticError(
-            f"hypergeometric parameter a = {a!r} is not -n = {-state.n} for {state}")
+    b = _kummer_b(state, params)
     mw = scale.mass * scale.omega_c
-    twol = 2.0 * float(state.ell)
-    radial_power = 1.0 if twol == 0 else r ** twol
-    return (norm * math.exp(-0.25 * mw * r * r) * radial_power
+    power = b - 1.0 - float(params.nu1 + params.nu2)
+    return (norm * math.exp(-0.25 * mw * r * r) * r ** power
             * hyp1f1(float(-state.n), b, 0.5 * mw * r * r))
 
 
 def radial_norm_constant(state: SectorState, scale: OscillatorScale,
                          params: WignerParams) -> float:
-    """Normalization constant against the radial measure r^(1+2nu1+2nu2) dr.
+    """Normalization constant 1/sqrt(T) against the measure r^(1+2nu1+2nu2) dr.
 
-    Quadrature on [0, R] with R grown by factors of 1.5 until the Gaussian
-    tail is negligible; ArithmeticError after NORM_MAX_GROWTHS growths.
+    T = 1/2 (2/m w)^b n! Gamma(b)^2 / Gamma(b + n) is the norm integral of
+    radial_wavefunction: Laguerre orthogonality (DLMF 18.3) after the
+    substitution x = m w r^2/2 and M(-n, b, x) = n!/(b)_n L_n^(b-1)(x).
     """
-    nu1, nu2 = params.as_floats()
-    weight_pow = 1.0 + 2.0 * nu1 + 2.0 * nu2
-
-    def integrand(r: float) -> float:
-        f = radial_wavefunction(state, scale, params, r)
-        return f * f * r ** weight_pow
-
-    r_max = math.sqrt(2.0 / (scale.mass * scale.omega_c)) * 8.0
-    for _ in range(NORM_MAX_GROWTHS + 1):
-        total, _ = quad(integrand, 0.0, r_max, limit=200)
-        tail, _ = quad(integrand, r_max, 1.5 * r_max, limit=50)
-        if abs(tail) <= 1e-14 * max(total, 1e-300):
-            return 1.0 / math.sqrt(total)
-        r_max *= 1.5
-    raise ArithmeticError(
-        f"norm integral of {state} did not converge within r_max = {r_max:g}")
+    b = _kummer_b(state, params)
+    n = state.n
+    log_t = (b * math.log(2.0 / (scale.mass * scale.omega_c)) - math.log(2.0)
+             + math.lgamma(n + 1) + 2.0 * math.lgamma(b) - math.lgamma(b + n))
+    return math.exp(-0.5 * log_t)

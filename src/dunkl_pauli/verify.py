@@ -206,7 +206,7 @@ def run_spectrum_suite() -> SuiteResult:
                 e_dn = energy_over_omega_c(SectorState(eps1, eps2, 0, ell, -1), params)
                 res.check(abs((e_dn - e_up) - 2 * eta(eps1, eps2, params)) <= 1e-12,
                           f"Zeeman split != 2*eta at ell={ell}, sector=({eps1},{eps2})")
-    res.check(hyp1f1(0.5, 1.5, 0.0) == 1.0, "M(a,b,0) != 1")
+    res.check(hyp1f1(-3.0, 1.5, 0.0) == 1.0, "M(a,b,0) != 1")
     res.check(abs(hyp1f1(-1.0, 3.0, 2.0) - (1 - 2.0 / 3.0)) < 1e-15,
               "M(-1,b,x) != 1 - x/b")
     res.check(abs(hyp1f1(-2.0, 2.0, 1.5) - (-0.125)) < 1e-15,

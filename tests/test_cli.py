@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dunkl_pauli
 from dunkl_pauli.cli import main
 
 
@@ -193,11 +198,17 @@ def test_figure_output_is_deterministic(tmp_path, capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("flag", ["--nu1", "--nu2", "--sector"])
-def test_figure_rejects_flags_it_would_ignore(capsys, flag):
+@pytest.mark.parametrize("argv", [
     # every figure curve takes its deformation and sector from the layout
+    ("figure", "--figure", "2a", "--nu1", "0.3"),
+    ("figure", "--figure", "2a", "--nu2", "0.3"),
+    ("figure", "--figure", "2a", "--sector", "0.3"),
+    # a level table has no thermodynamic mode
+    ("spectrum", "--mode", "consistent"),
+], ids=["figure-nu1", "figure-nu2", "figure-sector", "spectrum-mode"])
+def test_subcommands_reject_flags_they_would_ignore(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["figure", "--figure", "2a", flag, "0.3"])
+        main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -306,3 +317,16 @@ def test_usage_errors_are_reported_before_any_output(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------- imports
+
+def test_cli_import_does_not_load_scipy_integrate():
+    # the radial norm is a closed form; no command needs quadrature
+    src = str(Path(dunkl_pauli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, dunkl_pauli.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "False"

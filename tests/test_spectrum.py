@@ -146,7 +146,8 @@ def brute_force_series(a, b, x, n_terms):
 
 
 def test_hyp1f1_at_zero():
-    assert hyp1f1(0.7, 1.9, 0.0) == 1.0
+    for n in range(5):
+        assert hyp1f1(-float(n), 1.9, 0.0) == 1.0
 
 
 def test_hyp1f1_one_term():
@@ -176,22 +177,13 @@ def test_hyp1f1_matches_scipy(n, b, x):
     assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
-def test_hyp1f1_nonterminating_matches_scipy():
-    for a, b, x in ((0.3, 1.7, 2.5), (1.2, 0.4, -3.0), (2.5, 2.5, 10.0)):
-        assert hyp1f1(a, b, x) == pytest.approx(scipy.special.hyp1f1(a, b, x),
-                                                rel=1e-10)
-
-
-def test_hyp1f1_pole_detection():
-    with pytest.raises(ValueError):
-        hyp1f1(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        hyp1f1(0.5, -2.0, 1.0)
-    with pytest.raises(ValueError):
-        hyp1f1(-2.0, -2.0, 1.0)  # equal magnitude is still a pole
-    # smaller magnitude terminates before the pole: M(-1,-2,x) = 1 + x/2
-    assert hyp1f1(-1.0, -2.0, 1.0) == pytest.approx(
-        scipy.special.hyp1f1(-1, -2, 1.0)) == 1.5
+def test_hyp1f1_rejects_non_terminating_parameters():
+    # only M(-n, b, x) with b > 0 is defined: a non-integer or positive a, or
+    # b <= 0, raises
+    for a, b in ((0.5, 1.5), (-2.5, 1.5), (1.0, 2.0), (3.0, 0.5),
+                 (-2.0, 0.0), (-1.0, -2.0), (-2.0, -0.5)):
+        with pytest.raises(ValueError):
+            hyp1f1(a, b, 1.0)
 
 
 # ---------------------------------------------------------------- wavefunction
@@ -227,6 +219,10 @@ def test_wavefunction_node_count():
     (-1, -1, F(1), 1, 1, NU44),
     (1, -1, F(1, 2), 1, -1, NU4m4),
     (-1, 1, F(3, 2), 2, 1, WignerParams(F(-2, 5), F(2, 5))),
+    # ell = 0 with nu1 + nu2 < 0: the Frobenius power kappa - (nu1 + nu2) is
+    # not 2 ell here
+    *[(eps, eps, F(0), n, m_s, WignerParams(F(-2, 5), F(-1, 5)))
+      for eps in (1, -1) for n, m_s in ((0, 1), (1, -1), (2, 1))],
 ])
 def test_wavefunction_solves_radial_ode(eps1, eps2, ell, n, m_s, params):
     # residual of the sector radial equation via high-order finite differences
@@ -262,24 +258,31 @@ def test_wavefunction_solves_radial_ode(eps1, eps2, ell, n, m_s, params):
 
 
 def test_normalization_quadrature():
-    state = SectorState(1, 1, 0, 1, 1)
-    c = radial_norm_constant(state, SCALE, NU44)
-    # after scaling, the norm integral against r^(1+2nu1+2nu2) dr is 1
+    # after scaling, the norm integral against r^(1+2nu1+2nu2) dr is 1,
+    # checked by quadrature independently of the closed-form norm
     from scipy.integrate import quad
-    nu1, nu2 = NU44.as_floats()
+    cases = [((1, 1), F(1), NU44),
+             ((1, 1), F(0), WignerParams(F(-2, 5), F(-1, 5))),
+             ((1, -1), F(1, 2), NU4m4),
+             ((-1, 1), F(3, 2), WignerParams(F(-2, 5), F(1, 5)))]
+    for scale in (SCALE, OscillatorScale(omega_c=1.7, mass=0.6)):
+        for (eps1, eps2), ell, params in cases:
+            weight = 1 + 2 * float(params.nu1 + params.nu2)
+            for n in range(4):
+                state = SectorState(eps1, eps2, n, ell, 1)
+                c = radial_norm_constant(state, scale, params)
 
-    def integrand(r):
-        v = radial_wavefunction(state, SCALE, NU44, r, norm=c)
-        return v * v * r ** (1 + 2 * nu1 + 2 * nu2)
+                def integrand(r):
+                    v = radial_wavefunction(state, scale, params, r, norm=c)
+                    return v * v * r ** weight
 
-    total, _ = quad(integrand, 0, 25, limit=300)
-    assert total == pytest.approx(1.0, rel=1e-9)
+                total, _ = quad(integrand, 0, 25, limit=300)
+                assert total == pytest.approx(1.0, rel=1e-9), (state, scale)
 
 
 def test_wavefunction_terminates_when_computed_a_is_an_ulp_off():
     # the computed hypergeometric a is -2.2e-16 here instead of -n = 0; the
-    # non-terminating series it selected gave -6.4e25 at r = 20 and -inf at
-    # r = 40, and the norm loop grew r_max forever
+    # radial factor must still be the n = 0 polynomial times the Gaussian
     state = SectorState(-1, 1, 0, F(1, 2), -1)
     params = WignerParams(F(-2, 5), F(-1, 5))
     radii = (1.0, 5.0, 10.0, 20.0, 40.0)
@@ -298,16 +301,5 @@ def test_wavefunction_rejects_unquantized_hypergeometric_parameter(monkeypatch):
                         lambda st, p: exact(st, p) + 1e-6)
     with pytest.raises(ArithmeticError):
         radial_wavefunction(SectorState(1, 1, 1, 1, 1), SCALE, NU44, 1.0)
-
-
-def test_norm_constant_gives_up_after_bounded_growth(monkeypatch):
-    calls = []
-
-    def never_negligible(f, lo, hi, limit):
-        calls.append(hi)
-        return 1.0, 0.0
-
-    monkeypatch.setattr(spectrum, "quad", never_negligible)
     with pytest.raises(ArithmeticError):
-        radial_norm_constant(SectorState(1, 1, 0, 1, 1), SCALE, NU44)
-    assert len(calls) == 2 * (spectrum.NORM_MAX_GROWTHS + 1)
+        radial_norm_constant(SectorState(1, 1, 1, 1, 1), SCALE, NU44)
