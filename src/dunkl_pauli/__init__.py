@@ -1,22 +1,35 @@
 """Spin-1/2 Landau-type problem with Dunkl derivatives: exact operator
 algebra, parity-sector spectra, a finite-difference eigenvalue oracle, and
-canonical thermodynamics."""
+canonical thermodynamics.
+
+The pure-Python layers are imported with the package.  The names of the
+numpy/scipy layers (``radial_oracle``, ``thermo``) resolve on each access
+(PEP 562), so ``import dunkl_pauli`` loads neither numpy nor scipy.
+"""
+
+import importlib
 
 from .algebra import (BivarPoly, WignerParams, commutator_xD, dunkl_derive,
                       dunkl_laplacian, reflect)
 from .angular import (AngularEigenpair, TrigPoly, angular_eigenpair, apply_B,
                       apply_G, jacobi, lambda_value)
-from .radial_oracle import (DiscretizationConfig, RadialProblem,
-                            build_tridiagonal, lowest_eigenvalues,
-                            validate_sector)
 from .spectrum import (OscillatorScale, SectorState, energy,
                        energy_over_omega_c, eta, hyp1f1, radial_wavefunction,
                        radical_identity_check, rho)
-from .thermo import (ThermoCurve, ThermoInputs, direct_sum_partition, entropy,
-                     heat_capacity, helmholtz, internal_energy, partition,
-                     sweep)
 
 __version__ = "0.1.0"
+
+# name -> defining module, for the names resolved on access.  Nothing is
+# cached in the package namespace: each access reads the module's current
+# binding, so a function patched there (and later restored) is seen as such.
+_LAZY = {
+    **dict.fromkeys(("DiscretizationConfig", "RadialProblem",
+                     "build_tridiagonal", "lowest_eigenvalues",
+                     "validate_sector"), "radial_oracle"),
+    **dict.fromkeys(("ThermoCurve", "ThermoInputs", "direct_sum_partition",
+                     "entropy", "heat_capacity", "helmholtz",
+                     "internal_energy", "partition", "sweep"), "thermo"),
+}
 
 __all__ = [
     "AngularEigenpair", "BivarPoly", "DiscretizationConfig",
@@ -29,3 +42,13 @@ __all__ = [
     "lowest_eigenvalues", "partition", "radial_wavefunction",
     "radical_identity_check", "reflect", "rho", "sweep", "validate_sector",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -16,12 +16,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import verify as verify_mod
 from .algebra import WignerParams
 from .angular import lambda_value
 from .spectrum import (SECTORS, SectorState, energy_over_omega_c, eta,
                        lowest_ells, rho)
-from .thermo import MODES, QUANTITIES, ThermoInputs, log_grid, sweep
+
+# thermo (numpy) and verify (numpy, and scipy for its oracle suite) are
+# imported inside the commands that use them: a spectrum table needs neither
 
 
 def _sector_name(sector: tuple[int, int], signs: str = "+-") -> str:
@@ -48,6 +49,10 @@ _FIGURE_NU_PANELS = {"a": (Fraction(2, 5), Fraction(2, 5)),
 _FIGURE_SECTOR_PANELS = dict(zip("abcd", SECTORS))
 _FIGURE_QUANTITY = {1: "Z", 2: "Z", 3: "U", 4: "U",
                     5: "C", 6: "C", 7: "S", 8: "S"}
+# argparse choices, spelled here so that parsing needs no thermo import:
+# thermo.MODES and sorted(thermo.QUANTITIES)
+_MODES = ("consistent", "paper-faithful")
+_QUANTITIES = ("C", "F", "S", "U", "Z")
 
 
 def _fraction(option: str, text: str) -> Fraction:
@@ -101,6 +106,7 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError("need 0 < tmin < tmax, both finite")
         if args.steps < 2:
             raise ValueError("need at least 2 grid points")
+        from .thermo import log_grid
         args.taus = log_grid(args.tmin, args.tmax, args.steps)
 
 
@@ -152,6 +158,7 @@ def _ladder(sector, params: WignerParams, ell: Fraction, sign: int):
 
 def _thermo_csv(args: argparse.Namespace, quantity: str, sector,
                 params: WignerParams, ell: Fraction, rh: float, et: float) -> str:
+    from .thermo import ThermoInputs, sweep
     curve = sweep(quantity, ThermoInputs(1.0, rh, et, args.mode), args.taus)
     nu1, nu2 = params.as_floats()
     lines = [
@@ -246,8 +253,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_mod.run_all(skip_oracle=args.skip_oracle)
-    text = verify_mod.format_report(report)
+    from . import verify
+    report = verify.run_all(skip_oracle=args.skip_oracle)
+    text = verify.format_report(report)
     if args.out:
         _write_text(args.out, text + "\n")
     print(text)
@@ -286,7 +294,7 @@ def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:
 
 
 def _add_thermal(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", default="consistent", choices=list(MODES),
+    p.add_argument("--mode", default="consistent", choices=_MODES,
                    help="thermodynamic evaluation mode")
     p.add_argument("--tmin", type=float, default=0.01, help="lowest tau = KT/omega_c")
     p.add_argument("--tmax", type=float, default=10.0, help="highest tau")
@@ -310,7 +318,7 @@ def build_parser() -> _Parser:
     pt = sub.add_parser("thermo", help="thermal-quantity sweep as CSV")
     _add_sector(pt)
     _add_common(pt, "output file (default stdout)")
-    pt.add_argument("--quantity", required=True, choices=sorted(QUANTITIES),
+    pt.add_argument("--quantity", required=True, choices=_QUANTITIES,
                     help="which quantity to sweep")
     _add_thermal(pt)
     pt.set_defaults(run=cmd_thermo)

@@ -156,17 +156,23 @@ def radical_identity_check(ell, epsilon: int, params: WignerParams):
 
 def hyp1f1(a: float, b: float, x: float) -> float:
     """Kummer's M(-n, b, x) = sum_k (-n)_k / (b)_k x^k / k!, a degree-n
-    polynomial, by its term-ratio recurrence.  Only this terminating case is
-    evaluated: ValueError unless a = -n is a nonpositive integer and b > 0.
+    polynomial.  Only this terminating case is evaluated: ValueError unless
+    a = -n is a nonpositive integer and b > 0.
+
+    M_k = M(-k, b, x) follows the contiguous recurrence (DLMF 13.3.1)
+    (b + k) M_{k+1} = (2k + b - x) M_k - k M_{k-1}, M_0 = 1, M_1 = 1 - x/b,
+    run on the differences d_k = M_k - M_{k-1}, so M(-n, b, 0) is exactly 1.
+    Unlike the power series it does not cancel where M oscillates
+    (0 < x < 4n + 2b).
     """
     if not (a <= 0 and float(a).is_integer() and b > 0):
         raise ValueError(
             f"M(a, b, x) needs a nonpositive integer a and b > 0, got a={a}, b={b}")
-    acc = term = 1.0
+    m, d = 1.0, 0.0
     for k in range(int(-a)):
-        term *= (a + k) / (b + k) * x / (k + 1)
-        acc += term
-    return acc
+        d = (k * d - x * m) / (b + k)
+        m += d
+    return m
 
 
 # largest accepted distance of the computed hypergeometric a from -n

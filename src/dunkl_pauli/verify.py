@@ -22,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import thermo
 from .algebra import (BivarPoly, WignerParams, X1, X2, angular_momentum_action,
@@ -29,10 +30,12 @@ from .algebra import (BivarPoly, WignerParams, X1, X2, angular_momentum_action,
                       dunkl_laplacian_expanded, reflect)
 from .angular import (Poly1, TrigPoly, angular_eigenpair, apply_B, apply_G,
                       jacobi, lambda_radicand, restrict_to_circle, sector_basis)
-from .radial_oracle import DiscretizationConfig, validate_sector
 from .spectrum import (SECTORS, OscillatorScale, SectorState,
                        energy_over_omega_c, energy_sector_form, eta, hyp1f1,
                        lowest_ells, radical_identity_check, rho)
+
+if TYPE_CHECKING:
+    from .radial_oracle import DiscretizationConfig
 
 DEFAULT_SEED = 20240501
 
@@ -220,6 +223,9 @@ def run_oracle_suite(n_max: int = 2,
                      tolerance: float = 1e-5) -> SuiteResult:
     """Finite-difference eigenvalues vs closed forms over the standard grid:
     4 sectors x 4 nu pairs x first two ells x n <= n_max x both spins."""
+    # imported here so that the exact suites (verify --skip-oracle) run
+    # without scipy
+    from .radial_oracle import validate_sector
     t0 = time.monotonic()
     res = SuiteResult("radial oracle (finite-difference cross-check)")
     scale = OscillatorScale()

@@ -330,3 +330,42 @@ def test_cli_import_does_not_load_scipy_integrate():
     result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True, timeout=120)
     assert result.stdout.strip() == "False"
+
+
+# each command in a fresh interpreter: which of numpy, scipy and scipy.linalg
+# it loaded.  The oracle is the only layer that needs scipy, and a spectrum
+# table needs no numpy.
+_FOOTPRINT_PROBE = """\
+import contextlib, io, json, sys
+from dunkl_pauli.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code] + [m for m in ("numpy", "scipy", "scipy.linalg")
+                           if m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), []),
+    (("spectrum", "--nu1", "0.4", "--nu2", "0.2", "--sector=--"), []),
+    (("thermo", "--quantity", "C", "--mode", "paper-faithful"), ["numpy"]),
+    (("figure", "--figure", "2a", "--steps", "8", "--out", "{tmp}"), ["numpy"]),
+    (("verify", "--skip-oracle"), ["numpy"]),
+], ids=["import", "spectrum", "thermo", "figure", "verify-skip-oracle"])
+def test_commands_import_only_what_they_use(tmp_path, argv, loaded):
+    src = str(Path(dunkl_pauli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    result = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
+                            env=env, check=True, capture_output=True, text=True,
+                            timeout=120)
+    assert json.loads(result.stdout) == [0, *loaded]
+
+
+def test_parser_choices_are_thermo_names():
+    # cli spells the --mode and --quantity choices so that parsing does not
+    # import thermo; thermo stays their one source
+    from dunkl_pauli import cli, thermo
+    assert cli._MODES == thermo.MODES
+    assert list(cli._QUANTITIES) == sorted(thermo.QUANTITIES)
