@@ -23,22 +23,21 @@ __version__ = "0.1.0"
 # cached in the package namespace: each access reads the module's current
 # binding, so a function patched there (and later restored) is seen as such.
 _LAZY = {
-    **dict.fromkeys(("DiscretizationConfig", "RadialProblem",
-                     "build_tridiagonal", "lowest_eigenvalues",
-                     "validate_sector"), "radial_oracle"),
+    **dict.fromkeys(("RadialProblem", "build_tridiagonal",
+                     "lowest_eigenvalues", "validate_sector"),
+                    "radial_oracle"),
     **dict.fromkeys(("ThermoCurve", "ThermoInputs", "direct_sum_partition",
                      "entropy", "heat_capacity", "helmholtz",
                      "internal_energy", "partition", "sweep"), "thermo"),
 }
 
 __all__ = [
-    "AngularEigenpair", "BivarPoly", "DiscretizationConfig",
-    "OscillatorScale", "RadialProblem", "SectorState", "ThermoCurve",
-    "ThermoInputs", "TrigPoly", "WignerParams", "angular_eigenpair",
-    "apply_B", "apply_G", "build_tridiagonal", "commutator_xD",
-    "direct_sum_partition", "dunkl_derive", "dunkl_laplacian", "energy",
-    "energy_over_omega_c", "entropy", "eta", "heat_capacity", "helmholtz",
-    "hyp1f1", "internal_energy", "jacobi", "lambda_value",
+    "AngularEigenpair", "BivarPoly", "OscillatorScale", "RadialProblem",
+    "SectorState", "ThermoCurve", "ThermoInputs", "TrigPoly", "WignerParams",
+    "angular_eigenpair", "apply_B", "apply_G", "build_tridiagonal",
+    "commutator_xD", "direct_sum_partition", "dunkl_derive", "dunkl_laplacian",
+    "energy", "energy_over_omega_c", "entropy", "eta", "heat_capacity",
+    "helmholtz", "hyp1f1", "internal_energy", "jacobi", "lambda_value",
     "lowest_eigenvalues", "partition", "radial_wavefunction",
     "radical_identity_check", "reflect", "rho", "sweep", "validate_sector",
 ]

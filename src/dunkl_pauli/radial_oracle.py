@@ -9,10 +9,21 @@ it exactly (Liouville transformation), leaving the plain Schroedinger form
     K    = centrifugal + (p^2 - 2p)/4,   p = 1 + 2nu1 + 2nu2,
 
 with centrifugal = lam^2 in the even sector and lam^2 - 4 nu1 nu2 in the odd
-one.  Central differences on a uniform grid with Dirichlet walls at
-r_max/n_points and r_max then give a symmetric tridiagonal matrix whose
-lowest eigenvalues are 2mE for n = 0, 1, 2, ...  Nothing here reuses the
-closed-form energy algebra, so agreement with it is a genuine cross-check.
+one.  Near r = 0 the solutions go like r^(1/2 +/- kappa), kappa =
+sqrt(K + 1/4).  For kappa < 1 both are square integrable, so a Dirichlet wall
+near the origin would pick the regular one only up to O(r_min^(2 kappa)).
+There is no wall at the origin here.  The grid is uniform in t = ln r, and
+u = e^(t/2) w turns the equation into
+
+    -w'' + kappa^2 w + r^2 (V - K/r^2) w = 2mE r^2 w.
+
+The node below the first is a Frobenius ghost, w_0 = w_1 exp(-kappa h), which
+imposes the regular power r^(1/2 + kappa); kappa is taken from K, not from the
+closed forms.  Scaling by B^(-1/2), B = diag(r^2), gives a symmetric
+tridiagonal matrix whose lowest eigenvalues are 2mE for n = 0, 1, 2, ... with
+an O(h^2) error, which Richardson extrapolation between the steps h and h/2
+removes.  Nothing here reuses the closed-form energy algebra, so agreement
+with it is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -59,68 +70,56 @@ class RadialProblem:
         return c
 
 
-@dataclass(frozen=True)
-class DiscretizationConfig:
-    """Uniform grid with Dirichlet walls; lengths in units of (m w/2)^(-1/2)."""
-
-    n_points: int = 8000
-    r_max: float = 10.0
-
-    def __post_init__(self):
-        if self.n_points < 500:
-            raise ValueError(f"n_points must be >= 500, got {self.n_points}")
-        if self.r_max < 8.0:
-            raise ValueError(f"r_max must be >= 8 natural lengths, got {self.r_max}")
+# The grid: GRID_POINTS nodes uniform in t = ln r, strictly between R_MIN and
+# R_MAX natural lengths sqrt(2/(m w)).  Below R_MIN the regular solution is a
+# pure power to ~R_MIN^2; beyond R_MAX it is below exp(-50).
+GRID_POINTS = 1200
+R_MIN = math.exp(-9.0)
+R_MAX = 10.0
 
 
-def _grid(problem: RadialProblem, config: DiscretizationConfig):
-    natural = math.sqrt(2.0 / (problem.scale.mass * problem.scale.omega_c))
-    r_hi = config.r_max * natural
-    r_lo = r_hi / config.n_points
-    h = (r_hi - r_lo) / (config.n_points + 1)
-    nodes = r_lo + h * np.arange(1, config.n_points + 1)
-    return nodes, h
-
-
-def build_tridiagonal(problem: RadialProblem, config: DiscretizationConfig):
-    """Symmetric tridiagonal discretization of -u'' + V u, returned as
-    (diagonal, off-diagonal) arrays; eigenvalues approximate 2mE."""
-    if config.n_points / config.r_max < 50:
-        raise ValueError("config too coarse: fewer than 50 points per natural length")
+def build_tridiagonal(problem: RadialProblem, n: int):
+    """Symmetric tridiagonal discretization of -u'' + V u on n log-grid
+    nodes between R_MIN and R_MAX, returned as (diagonal, off-diagonal)
+    arrays; eigenvalues approximate 2mE with an O(h^2) error."""
     nu1, nu2 = problem.params.as_floats()
     m, w = problem.scale.mass, problem.scale.omega_c
     p = 1.0 + 2.0 * nu1 + 2.0 * nu2
     k_coeff = problem.centrifugal_coefficient + (p * p - 2.0 * p) / 4.0
+    kappa = math.sqrt(k_coeff + 0.25)
     zeeman = (problem.scale.zeeman_prefactor * problem.m_s
               * (1.0 + nu1 * problem.eps1 + nu2 * problem.eps2))
-    nodes, h = _grid(problem, config)
-    v = (0.25 * (m * w) ** 2 * nodes ** 2 + k_coeff / nodes ** 2
-         + m * w * problem.lam - zeeman)
-    diag = 2.0 / h ** 2 + v
-    off = np.full(config.n_points - 1, -1.0 / h ** 2)
-    return diag, off
+    natural = math.sqrt(2.0 / (m * w))
+    t_lo, t_hi = math.log(R_MIN * natural), math.log(R_MAX * natural)
+    h = (t_hi - t_lo) / (n + 1)
+    r = np.exp(t_lo + h * np.arange(1, n + 1))
+    v_rest = 0.25 * (m * w) ** 2 * r ** 2 + m * w * problem.lam - zeeman
+    a = np.full(n, 2.0 / h ** 2 + kappa ** 2)
+    a[0] -= math.exp(-kappa * h) / h ** 2  # ghost node w_0 = w_1 exp(-kappa h)
+    return a / r ** 2 + v_rest, -1.0 / (h ** 2 * r[:-1] * r[1:])
 
 
 def lowest_eigenvalues(matrix, k: int):
     """k smallest eigenvalues of the symmetric tridiagonal (diag, off) pair,
-    ascending, via LAPACK bisection on Sturm sequences."""
+    ascending, via LAPACK bisection on Sturm sequences to absolute 1e-13.
+    The default tolerance, eps*||A||, is about 1e-4 on the log-grid matrix,
+    whose norm is set by the nodes nearest the origin: larger than the
+    discretization error that oracle_energies extrapolates away."""
     if k > 10:
         raise ValueError(f"at most 10 eigenvalues supported, got k={k}")
     diag, off = matrix
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    if len(diag) == 1:
-        return np.array([diag[0]])[:k]
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True,
-                            select="i", select_range=(0, k - 1))
-    return vals
+    return eigh_tridiagonal(np.asarray(diag, dtype=float),
+                            np.asarray(off, dtype=float), eigvals_only=True,
+                            select="i", select_range=(0, k - 1),
+                            lapack_driver="stebz", tol=1e-13)
 
 
-def oracle_energies(problem: RadialProblem, config: DiscretizationConfig,
-                    n_max: int):
-    """Oracle E/omega_c for n = 0..n_max."""
-    diag, off = build_tridiagonal(problem, config)
-    mu = lowest_eigenvalues((diag, off), n_max + 1)
+def oracle_energies(problem: RadialProblem, n_max: int):
+    """Oracle E/omega_c for n = 0..n_max: Richardson extrapolation of the
+    solves at GRID_POINTS and 2*GRID_POINTS + 1 nodes (step h and h/2)."""
+    coarse, fine = (lowest_eigenvalues(build_tridiagonal(problem, n), n_max + 1)
+                    for n in (GRID_POINTS, 2 * GRID_POINTS + 1))
+    mu = (4.0 * fine - coarse) / 3.0
     return mu / (2.0 * problem.scale.mass * problem.scale.omega_c)
 
 
@@ -160,31 +159,24 @@ class SectorReport:
     def passed(self) -> bool:
         return self.worst <= self.tolerance
 
-    def to_csv(self) -> str:
-        lines = ["eps1,eps2,nu1,nu2,ell,n,m_s,oracle_over_omega_c,"
-                 "closed_over_omega_c,abs_deviation"]
-        nu1, nu2 = self.params.as_floats()
-        for r in self.rows:
-            closed = "" if r.closed_form is None else f"{r.closed_form:.17g}"
-            dev = "" if r.deviation is None else f"{r.deviation:.17g}"
-            lines.append(f"{r.eps1},{r.eps2},{nu1:.17g},{nu2:.17g},"
-                         f"{float(r.ell):.17g},{r.n},{r.m_s},"
-                         f"{r.oracle:.17g},{closed},{dev}")
-        return "\n".join(lines) + "\n"
-
 
 def validate_sector(sector: tuple[int, int], params: WignerParams,
                     scale: OscillatorScale, ell_list, n_max: int,
-                    config: DiscretizationConfig | None = None,
-                    tolerance: float = 1e-5) -> SectorReport:
-    """Compare oracle eigenvalues with the closed forms over a state grid.
+                    config: None = None,
+                    tolerance: float = 1e-7) -> SectorReport:
+    """Compare oracle eigenvalues (oracle_energies) with the closed forms for
+    every ell in ell_list, n <= n_max and both spins.
 
-    Uses the positive lam branch.  A mismatch above tolerance is reported in
-    the returned object, never raised.  With g_s != 2 the closed forms do not
-    apply and only oracle values are tabulated.
+    Uses the positive lam branch.  The default tolerance, 1e-7 in omega_c
+    units, is about twice the oracle's worst error over nu in (-1/2, 2].  A
+    mismatch above tolerance is reported in the returned object, never
+    raised.  With g_s != 2 the closed forms do not apply and only oracle
+    values are tabulated.
     """
+    # config: the retired grid setting, kept so positional callers still work
+    if config is not None:
+        raise TypeError("validate_sector takes no grid config; pass None")
     eps1, eps2 = sector
-    config = config or DiscretizationConfig()
     compare = scale.g_s == 2.0
     report = SectorReport(eps1, eps2, params, tolerance)
     for ell in ell_list:
@@ -192,7 +184,7 @@ def validate_sector(sector: tuple[int, int], params: WignerParams,
         for m_s in (1, -1):
             state0 = SectorState(eps1, eps2, 0, ell, m_s)
             problem = RadialProblem.from_state(state0, params, scale)
-            oracle = oracle_energies(problem, config, n_max)
+            oracle = oracle_energies(problem, n_max)
             for n in range(n_max + 1):
                 closed = None
                 if compare:

@@ -87,16 +87,22 @@ def lowest_ells(epsilon: int, count: int) -> list[Fraction]:
     return [first + k for k in range(count)]
 
 
-def rho(ell, epsilon: int, branch: int, params: WignerParams) -> float:
-    """Orbital/deformation shift rho_ell^eps = (lam + sqrt(D^2 + lam^2))/2
-    with D = nu1 + nu2 in the even sector and nu1 - nu2 in the odd one.
+def _kappa(lam: float, epsilon: int, params: WignerParams) -> float:
+    """sqrt(D^2 + lam^2) with D = nu1 + nu2 in the even sector and nu1 - nu2
+    in the odd one.
 
     D is reduced in exact rational arithmetic first, so deformations with
-    nu1 = -nu2 reproduce the undeformed shift bit for bit.
+    nu1 = -nu2 reproduce the undeformed value bit for bit.
     """
-    lam = lambda_value(ell, epsilon, branch, params)
     d = float(params.nu1 + params.nu2 if epsilon == 1 else params.nu1 - params.nu2)
-    return 0.5 * (lam + math.sqrt(d * d + lam * lam))
+    return math.sqrt(d * d + lam * lam)
+
+
+def rho(ell, epsilon: int, branch: int, params: WignerParams) -> float:
+    """Orbital/deformation shift rho_ell^eps = (lam + sqrt(D^2 + lam^2))/2
+    (see _kappa for D)."""
+    lam = lambda_value(ell, epsilon, branch, params)
+    return 0.5 * (lam + _kappa(lam, epsilon, params))
 
 
 def eta(eps1: int, eps2: int, params: WignerParams) -> float:
@@ -148,10 +154,7 @@ def radical_identity_check(ell, epsilon: int, params: WignerParams):
     """
     lam = lambda_value(ell, epsilon, 1, params)
     nu1, nu2 = params.as_floats()
-    d = nu1 + nu2 if epsilon == 1 else nu1 - nu2
-    lhs = math.sqrt(d * d + lam * lam)
-    rhs = 2.0 * float(Fraction(ell)) + nu1 + nu2
-    return lhs, rhs
+    return _kappa(lam, epsilon, params), 2.0 * float(Fraction(ell)) + nu1 + nu2
 
 
 def hyp1f1(a: float, b: float, x: float) -> float:
@@ -187,10 +190,8 @@ def _kummer_b(state: SectorState, params: WignerParams) -> float:
     ArithmeticError, which cross-checks energy and wavefunction; otherwise
     -n is taken from the state.
     """
-    nu1, nu2 = params.as_floats()
     lam = lambda_value(state.ell, state.epsilon, state.branch, params)
-    d = nu1 + nu2 if state.epsilon == 1 else nu1 - nu2
-    root = math.sqrt(d * d + lam * lam)
+    root = _kappa(lam, state.epsilon, params)
     e_over_w = energy_over_omega_c(state, params)
     a = 0.5 * (1.0 + lam + root) - state.m_s * eta(state.eps1, state.eps2, params) - e_over_w
     if abs(a + state.n) > A_TOLERANCE:

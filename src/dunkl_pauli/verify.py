@@ -22,7 +22,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import thermo
 from .algebra import (BivarPoly, WignerParams, X1, X2, angular_momentum_action,
@@ -33,9 +32,6 @@ from .angular import (Poly1, TrigPoly, angular_eigenpair, apply_B, apply_G,
 from .spectrum import (SECTORS, OscillatorScale, SectorState,
                        energy_over_omega_c, energy_sector_form, eta, hyp1f1,
                        lowest_ells, radical_identity_check, rho)
-
-if TYPE_CHECKING:
-    from .radial_oracle import DiscretizationConfig
 
 DEFAULT_SEED = 20240501
 
@@ -218,11 +214,11 @@ def run_spectrum_suite() -> SuiteResult:
     return res
 
 
-def run_oracle_suite(n_max: int = 2,
-                     config: DiscretizationConfig | None = None,
-                     tolerance: float = 1e-5) -> SuiteResult:
-    """Finite-difference eigenvalues vs closed forms over the standard grid:
-    4 sectors x 4 nu pairs x first two ells x n <= n_max x both spins."""
+def run_oracle_suite(n_max: int = 2, tolerance: float = 1e-7) -> SuiteResult:
+    """Finite-difference eigenvalues (radial_oracle's Richardson-extrapolated
+    log grid) vs closed forms over the standard grid: 4 sectors x 4 nu pairs
+    x first two ells x n <= n_max x both spins, each within tolerance in
+    omega_c units."""
     # imported here so that the exact suites (verify --skip-oracle) run
     # without scipy
     from .radial_oracle import validate_sector
@@ -234,7 +230,7 @@ def run_oracle_suite(n_max: int = 2,
         for nu in ORACLE_NUS:
             params = WignerParams(*nu)
             report = validate_sector(sector, params, scale, ells, n_max,
-                                     config, tolerance)
+                                     tolerance=tolerance)
             for row in report.rows:
                 res.check(row.deviation is not None and row.deviation <= tolerance,
                           f"oracle deviation {row.deviation:g} at sector={sector}, "

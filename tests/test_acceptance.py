@@ -85,12 +85,12 @@ def test_criterion_03_angular_eigenvalues():
 
 def test_criterion_04_spectrum_oracle_cross_validation():
     t0 = time.monotonic()
-    suite = verify_mod.run_oracle_suite(n_max=2, tolerance=1e-5)
+    suite = verify_mod.run_oracle_suite(n_max=2, tolerance=1e-7)
     elapsed = time.monotonic() - t0
     total = suite.passed + suite.failed
     ok = suite.ok and total == 192 and elapsed < 300.0
     report(4, ok, f"{total} closed-form energies vs finite-difference oracle "
-                  f"within 1e-5 ({elapsed:.1f} s)")
+                  f"within 1e-7 ({elapsed:.1f} s)")
 
 
 def test_criterion_05_radical_identity():

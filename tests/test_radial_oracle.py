@@ -1,16 +1,17 @@
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from dunkl_pauli.algebra import WignerParams
-from dunkl_pauli.radial_oracle import (ComparisonRow, DiscretizationConfig,
+from dunkl_pauli.radial_oracle import (GRID_POINTS, ComparisonRow,
                                        RadialProblem, build_tridiagonal,
                                        lowest_eigenvalues, oracle_energies,
                                        validate_sector)
-from dunkl_pauli.spectrum import (OscillatorScale, SectorState,
-                                  energy_over_omega_c)
+from dunkl_pauli.spectrum import (SECTORS, OscillatorScale, SectorState,
+                                  energy_over_omega_c, lowest_ells)
 
 SCALE = OscillatorScale()
 NU0 = WignerParams(0, 0)
@@ -50,16 +51,6 @@ def test_full_line_oscillator_ground_state():
     assert vals[1] == pytest.approx(3.0, abs=1e-5)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DiscretizationConfig(n_points=400)
-    with pytest.raises(ValueError):
-        DiscretizationConfig(r_max=5.0)
-    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU0, SCALE)
-    with pytest.raises(ValueError):
-        build_tridiagonal(problem, DiscretizationConfig(n_points=500, r_max=20.0))
-
-
 def test_centrifugal_coefficient_by_sector():
     # even sector: lam^2; odd sector: lam^2 - 4 nu1 nu2
     even = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44, SCALE)
@@ -70,7 +61,7 @@ def test_centrifugal_coefficient_by_sector():
 
 def test_matrix_is_symmetric_tridiagonal():
     problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44, SCALE)
-    diag, off = build_tridiagonal(problem, DiscretizationConfig(n_points=600))
+    diag, off = build_tridiagonal(problem, 600)
     assert diag.shape == (600,) and off.shape == (599,)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     assert np.max(np.abs(dense - dense.T)) == 0.0
@@ -80,64 +71,74 @@ def test_undeformed_sector_matches_textbook_ladder():
     # nu = 0, sector (+,+) is the textbook 2D oscillator with angular momentum
     # 2*ell plus the Zeeman shift; compared against the closed form at nu = 0
     problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU0, SCALE)
-    es = oracle_energies(problem, DiscretizationConfig(), 2)
+    es = oracle_energies(problem, 2)
     for n, e in enumerate(es):
         closed = energy_over_omega_c(SectorState(1, 1, n, 1, 1), NU0)
-        assert e == pytest.approx(closed, abs=2e-6)
+        assert e == pytest.approx(closed, abs=1e-7)
 
 
 def test_eigenvalues_increase_with_n():
     problem = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), -1),
                                        NU44, SCALE)
-    es = oracle_energies(problem, DiscretizationConfig(n_points=2000), 4)
+    es = oracle_energies(problem, 4)
     assert all(b > a for a, b in zip(es, es[1:]))
 
 
 def test_second_order_richardson_convergence():
+    # the raw log grid is second order: halving h (n -> 2n + 1 nodes, same
+    # ends) quarters the error, and the extrapolation beats both solves
     state = SectorState(1, -1, 0, F(1, 2), 1)
-    problem = RadialProblem.from_state(state, NU0, SCALE)
-    exact = energy_over_omega_c(state, NU0)
-    errors = []
-    for n_points in (1000, 2000, 4000):
-        e = oracle_energies(problem, DiscretizationConfig(n_points=n_points), 0)[0]
-        errors.append(abs(e - exact))
-    assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.3)
-    assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.3)
-
-
-def test_r_max_invariance_at_fixed_resolution():
-    state = SectorState(1, 1, 1, 1, 1)
     problem = RadialProblem.from_state(state, NU44, SCALE)
-    per_unit = 800  # grid points per natural length
-    values = []
-    for r_max in (8.0, 12.0):
-        cfg = DiscretizationConfig(n_points=int(per_unit * r_max), r_max=r_max)
-        values.append(oracle_energies(problem, cfg, 0)[0])
-    assert abs(values[0] - values[1]) <= 1e-6
+    exact = 2.0 * energy_over_omega_c(state, NU44)  # 2mE at m = omega_c = 1
+    sizes = (GRID_POINTS, 2 * GRID_POINTS + 1, 4 * GRID_POINTS + 3)
+    raw = [lowest_eigenvalues(build_tridiagonal(problem, n), 1)[0]
+           for n in sizes]
+    errors = [abs(mu - exact) for mu in raw]
+    assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.01)
+    assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.01)
+    extrapolated = oracle_energies(problem, 0)[0] * 2.0
+    assert abs(extrapolated - exact) < min(errors)
+
+
+# seeded nu over the whole valid range (-1/2, 2], plus its corners and the
+# odd-sector ell = 1/2 state nearest the limit-circle case (kappa = 0.15)
+WIDE_NUS = ([(F(-49, 100), F(-49, 100)), (F(-9, 20), F(-2, 5)), (F(2), F(2)),
+             (F(-49, 100), F(2))]
+            + [(F(rng.randint(-49, 200), 100), F(rng.randint(-49, 200), 100))
+               for rng in [random.Random(20240501)] for _ in range(12)])
+
+
+@pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
+def test_oracle_matches_closed_form_over_the_whole_nu_range(nu):
+    params = WignerParams(*nu)
+    for sector in SECTORS:
+        ells = lowest_ells(sector[0] * sector[1], 2)
+        report = validate_sector(sector, params, SCALE, ells, 2)
+        assert len(report.rows) == 12
+        assert report.worst <= 1e-7, (sector, report.worst)
 
 
 def test_validate_sector_report():
     report = validate_sector((1, 1), NU44, SCALE, [1], 1)
     assert report.passed and len(report.rows) == 4  # 1 ell x 2 m_s x n in {0,1}
-    assert report.worst <= 1e-5
-    csv = report.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("eps1,eps2,nu1,nu2,ell,n,m_s")
-    assert len(lines) == 5
+    assert report.worst <= 1e-7
 
 
 def test_validate_sector_reports_mismatch_without_raising():
     # absurd tolerance: must flag failure but not raise
-    report = validate_sector((1, 1), NU44, SCALE, [1], 0,
-                             DiscretizationConfig(n_points=500), tolerance=1e-14)
+    report = validate_sector((1, 1), NU44, SCALE, [1], 0, tolerance=1e-14)
     assert not report.passed
     assert report.worst > 1e-14
 
 
+def test_validate_sector_rejects_a_grid_config():
+    with pytest.raises(TypeError):
+        validate_sector((1, 1), NU0, SCALE, [1], 0, object())
+
+
 def test_validate_sector_with_physical_g_factor_skips_closed_form():
     scale = OscillatorScale(g_s=2.0023)
-    report = validate_sector((1, 1), NU0, scale, [1], 0,
-                             DiscretizationConfig(n_points=1000))
+    report = validate_sector((1, 1), NU0, scale, [1], 0)
     assert all(r.closed_form is None for r in report.rows)
     assert report.passed  # vacuous: nothing to compare
     assert report.worst == 0.0
