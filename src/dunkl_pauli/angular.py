@@ -20,10 +20,11 @@ fractions.Fraction; float evaluation uses float coefficients computed once
 per polynomial.
 
 Eigenfunctions for the eigenvalue lam of i*G are built per sector from a
-two-dimensional candidate space spanned by one purely-even and one purely-odd
-real function (Jacobi polynomials in -cos 2*theta with sector-specific
-prefactors).  G maps that space to itself; the exact 2x2 restriction matrix
-then yields lam^2 as an exact rational and the complex mixing weights.
+two-dimensional candidate space spanned by f1 = A(c), which has only an even
+part, and f2 = s*B(c), which has only an odd part (Jacobi polynomials in
+-cos 2*theta with sector-specific prefactors).  G maps each of them onto a
+multiple of the other, so its restriction is [[0, m12], [m21, 0]] with two
+exact rational ratios; lam^2 = -m12*m21 and the complex mixing weights follow.
 """
 
 from __future__ import annotations
@@ -273,14 +274,6 @@ class TrigPoly:
 
     __rmul__ = __mul__
 
-    def reflect1(self) -> "TrigPoly":
-        """theta -> pi - theta, i.e. c -> -c with s fixed."""
-        return TrigPoly(self.even.compose_neg(), self.odd.compose_neg())
-
-    def reflect2(self) -> "TrigPoly":
-        """theta -> -theta, i.e. s -> -s with c fixed."""
-        return TrigPoly(self.even, -self.odd)
-
     def reflect12(self) -> "TrigPoly":
         """theta -> theta + pi: both coordinates negated."""
         return TrigPoly(self.even.compose_neg(), -self.odd.compose_neg())
@@ -387,12 +380,12 @@ def restrict_to_circle(p: BivarPoly) -> TrigPoly:
     return TrigPoly(even, odd)
 
 
-def _validate_sector_ell(ell: Fraction, epsilon: int, allow_zero: bool) -> None:
+def _validate_sector_ell(ell: Fraction, epsilon: int) -> None:
     num, den = ell.numerator, ell.denominator
     if epsilon == 1:
-        if den != 1 or num < 0 or (num == 0 and not allow_zero):
+        if den != 1 or num < 0:
             raise ValueError(
-                f"even sector requires a positive integer ell, got {ell}")
+                f"even sector requires a nonnegative integer ell, got {ell}")
     elif epsilon == -1:
         # half-odd: lowest terms odd/2
         if den != 2 or num < 0:
@@ -406,7 +399,7 @@ def lambda_radicand(ell, epsilon: int, params: WignerParams) -> Fraction:
     """Exact lam^2: 4*ell*(ell+nu1+nu2) in the even sector,
     4*(ell+nu1)*(ell+nu2) in the odd sector."""
     ell = Fraction(ell)
-    _validate_sector_ell(ell, epsilon, allow_zero=True)
+    _validate_sector_ell(ell, epsilon)
     p, q = ell.numerator, ell.denominator
     (a, b), (c, d) = [(nu.numerator, nu.denominator)
                       for nu in (params.nu1, params.nu2)]
@@ -436,45 +429,13 @@ def _sqrt_exact(q: Fraction):
     return None
 
 
-def _coordinates(f: TrigPoly, n_even: int, n_odd: int):
-    """(integer vector, den): f's even then odd coefficients, zero-padded to
-    n_even and n_odd entries, over one common denominator."""
-    e, o = f.even, f.odd
-    den = math.lcm(e._d, o._d)
-    se, so = den // e._d, den // o._d
-    vec = ([x * se for x in e._n] + [0] * (n_even - len(e._n))
-           + [x * so for x in o._n] + [0] * (n_odd - len(o._n)))
-    return vec, den
-
-
-def _expand_in_basis(g: TrigPoly, f1: TrigPoly, f2: TrigPoly):
-    """Exact coefficients (m1, m2) with g = m1*f1 + m2*f2, or raise.
-
-    On integer coordinates over common denominators, g = m1 f1 + m2 f2 reads
-    G = u1 F1 + u2 F2 with m_k = u_k den_k / den_g; (u1, u2) comes from
-    Cramer's rule on two independent rows and is then checked on every row
-    with the products cross-multiplied, so no fraction is formed until the
-    result.
-    """
-    n_even = max(len(f.even._n) for f in (g, f1, f2))
-    n_odd = max(len(f.odd._n) for f in (g, f1, f2))
-    (gv, gd), (v1, d1), (v2, d2) = (_coordinates(f, n_even, n_odd)
-                                    for f in (g, f1, f2))
-    i = next((k for k, x in enumerate(v1) if x), None)
-    if i is None:
-        raise ValueError("first basis function vanishes")
-    # det * (u1, u2) = (n1, n2)
-    for j in range(len(v1)):
-        det = v1[i] * v2[j] - v1[j] * v2[i]
-        if det:
-            n1 = gv[i] * v2[j] - gv[j] * v2[i]
-            n2 = v1[i] * gv[j] - v1[j] * gv[i]
-            break
-    else:
-        det, n1, n2 = v1[i], gv[i], 0
-    if any(det * z != n1 * x + n2 * y for z, x, y in zip(gv, v1, v2)):
+def _ratio(p: Poly1, q: Poly1) -> Fraction:
+    """The exact m with p = m*q; raises if p is not a multiple of q."""
+    d = q.degree()
+    m = p[d] / q[d]
+    if p != q * m:
         raise ValueError("function does not lie in the candidate space")
-    return Fraction(n1 * d1, det * gd), Fraction(n2 * d2, det * gd)
+    return m
 
 
 def sector_basis(ell, eps1: int, eps2: int, params: WignerParams):
@@ -535,46 +496,18 @@ class AngularEigenpair:
     def eigenfunction(self, theta: float) -> complex:
         return sum(w * f.evaluate(theta) for w, f in zip(self.weights, self.basis))
 
-    def eigenfunction_coeffs(self):
-        """Complex coefficient lists (even, odd) of the eigenfunction."""
-        ne = max(f.even.degree() + 1 for f in self.basis)
-        no = max(f.odd.degree() + 1 for f in self.basis)
-        even = [sum(w * complex(float(f.even[k])) for w, f in
-                    zip(self.weights, self.basis)) for k in range(ne)]
-        odd = [sum(w * complex(float(f.odd[k])) for w, f in
-                   zip(self.weights, self.basis)) for k in range(no)]
-        return even, odd
-
-
-def _float_eigvec(m, lam: float):
-    """Float eigenvector of the 2x2 m for eigenvalue -i*lam, verified to
-    1e-12 relative; first nonzero component normalized to 1."""
-    (m11, m12), (m21, m22) = [[float(v) for v in row] for row in m]
-    mu = complex(0.0, -lam)
-    if m12 != 0:
-        w1, w2 = complex(m12), mu - m11
-    elif m21 != 0:
-        w1, w2 = mu - m22, complex(m21)
-    else:
-        raise ValueError("degenerate 2x2 system")
-    piv = w1 if w1 != 0 else w2
-    w1, w2 = w1 / piv, w2 / piv
-    r1 = m11 * w1 + m12 * w2 - mu * w1
-    r2 = m21 * w1 + m22 * w2 - mu * w2
-    scale = max(abs(lam), 1.0)
-    if max(abs(r1), abs(r2)) > 1e-12 * scale:
-        raise AssertionError("eigenvector verification failed")
-    return w1, w2
-
 
 def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
                       params: WignerParams) -> AngularEigenpair:
     """Construct and verify the angular eigenpair for (ell, sector, branch).
 
-    The exact 2x2 restriction of G to the candidate space has trace zero and
-    determinant lam^2; both facts are asserted, and lam^2 is checked against
-    the closed form exactly.  The mixing weights normalize the first nonzero
-    component to 1, so the +/- branches are complex conjugates of each other.
+    G maps f1 onto m21*f2 and f2 onto m12*f1, with no component along the
+    function it started from, so the restriction of G to the candidate space
+    is [[0, m12], [m21, 0]] and lam^2 = -m12*m21.  Both ratios are exact and
+    checked, so a basis that G does not swap raises, and lam^2 is checked
+    against the closed form exactly.  The mixing weights are (1, -i*lam/m12),
+    checked against the restriction to 1e-12, so the +/- branches are complex
+    conjugates of each other.
     The ell = 0 constant mode (lam = 0) is returned with is_constant_mode set
     so enumerations can exclude it.
     """
@@ -585,7 +518,7 @@ def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
         raise ValueError(f"branch must be +1 or -1, got {branch}")
     epsilon = eps1 * eps2
     ell = Fraction(ell)
-    _validate_sector_ell(ell, epsilon, allow_zero=True)
+    _validate_sector_ell(ell, epsilon)
 
     if epsilon == 1 and ell == 0:
         return AngularEigenpair(eps1, eps2, ell, branch, 0.0, Fraction(0),
@@ -598,18 +531,18 @@ def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
         if not (r.even == epsilon * f.even and r.odd == epsilon * f.odd):
             raise ValueError("basis function has wrong R1R2 parity")
 
-    m11, m21 = _expand_in_basis(apply_G(f1, params), f1, f2)
-    m12, m22 = _expand_in_basis(apply_G(f2, params), f1, f2)
-    trace = m11 + m22
-    det = m11 * m22 - m12 * m21
-    if trace != 0 or det <= 0:
+    g1, g2 = apply_G(f1, params), apply_G(f2, params)
+    if not (g1.even.is_zero() and g2.odd.is_zero()):
+        raise ValueError("function does not lie in the candidate space")
+    m21, m12 = _ratio(g1.odd, f2.odd), _ratio(g2.even, f1.even)
+    det = -m12 * m21
+    if det <= 0:
         raise ValueError(
-            f"degenerate restriction (trace={trace}, det={det}) "
+            f"degenerate restriction (det={det}) "
             f"for ell={ell}, sector=({eps1},{eps2})")
     if det != lambda_radicand(ell, epsilon, params):
         raise ValueError("restriction determinant disagrees with closed form")
 
-    m = ((m11, m12), (m21, m22))
     lam_exact_abs = _sqrt_exact(det)
     if lam_exact_abs is not None:
         lam_exact = branch * lam_exact_abs
@@ -617,5 +550,11 @@ def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
     else:
         lam_exact = None
         lam = branch * math.sqrt(float(det))
+    # the eigenvector (m12, -i*lam) scaled by its first component: its first
+    # row holds by construction, the second checks m21*w1 = -i*lam*w2
+    mu, scale = complex(0.0, -lam), float(m12)
+    w1, w2 = complex(scale) / scale, mu / scale
+    if abs(float(m21) * w1 - mu * w2) > 1e-12 * max(abs(lam), 1.0):
+        raise AssertionError("eigenvector verification failed")
     return AngularEigenpair(eps1, eps2, ell, branch, lam, lam_exact,
-                            (f1, f2), _float_eigvec(m, lam), params)
+                            (f1, f2), (w1, w2), params)

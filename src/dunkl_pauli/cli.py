@@ -343,7 +343,8 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return args.run(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an option too large for a float, e.g. --nu1 1e400
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -68,7 +68,7 @@ class SectorState:
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {self.n}")
         object.__setattr__(self, "ell", Fraction(self.ell))
-        _validate_sector_ell(self.ell, self.eps1 * self.eps2, allow_zero=True)
+        _validate_sector_ell(self.ell, self.eps1 * self.eps2)
 
     @property
     def epsilon(self) -> int:

@@ -6,6 +6,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_pauli import angular
 from dunkl_pauli.algebra import WignerParams, X1, X2, angular_momentum_action
 from dunkl_pauli.angular import (Poly1, TrigPoly, angular_eigenpair, apply_B,
                                  apply_G, jacobi, lambda_radicand,
@@ -149,10 +150,6 @@ def test_poly1_float_evaluation_bit_identical_to_fraction_horner(a, b, t):
 
 def test_trig_poly_reflections():
     f = TrigPoly(Poly1([1, 2]), Poly1([3, 4]))
-    r2 = f.reflect2()
-    assert r2.even == f.even and r2.odd == -f.odd
-    r1 = f.reflect1()
-    assert r1.even == Poly1([1, -2]) and r1.odd == Poly1([3, -4])
     r12 = f.reflect12()
     assert r12.even == Poly1([1, -2]) and r12.odd == Poly1([-3, 4])
 
@@ -315,8 +312,9 @@ def test_eigenpair_parity_is_exact():
 
 
 def test_eigenpair_lambda_squared_matches_closed_form():
-    for nu1 in (F(-2, 5), F(0), F(1, 5)):
-        for nu2 in (F(-1, 5), F(2, 5)):
+    # nu at both ends of (-1/2, 2] too: the even/odd swap holds across it
+    for nu1 in (F(-49, 100), F(-2, 5), F(0), F(1, 5), F(2)):
+        for nu2 in (F(-49, 100), F(-1, 5), F(2, 5), F(2)):
             params = WignerParams(nu1, nu2)
             for sector, ells in (((1, 1), (1, 3, 5)), ((1, -1), (F(1, 2), F(9, 2)))):
                 eps = sector[0] * sector[1]
@@ -351,6 +349,24 @@ def test_eigenpair_rejects_invalid_combinations():
         angular_eigenpair(0, (1, -1), 1, NU0)  # no constant mode in odd sector
 
 
+@pytest.mark.parametrize("distort", [
+    # f2 = s*B -> s*c^2*B: the span is no longer G-invariant
+    lambda f1, f2: (f1, TrigPoly(f2.even, f2.odd.shift_up(2))),
+    # f1 -> f1 + f2: the same span, but G no longer swaps an even-only f1
+    # with an odd-only f2, which the off-diagonal restriction needs
+    lambda f1, f2: (f1 + f2, f2),
+], ids=["stretched", "mixed"])
+def test_eigenpair_rejects_a_basis_G_does_not_swap(monkeypatch, distort):
+    # both distortions keep the R1R2 parity of the basis
+    def basis(ell, eps1, eps2, params):
+        return distort(*sector_basis(ell, eps1, eps2, params))
+
+    monkeypatch.setattr(angular, "sector_basis", basis)
+    for ell, sector in ((2, (1, 1)), (F(3, 2), (1, -1))):
+        with pytest.raises(ValueError, match="candidate space"):
+            angular_eigenpair(ell, sector, 1, NU44)
+
+
 def test_printed_jacobi_argument_breaks_parity():
     # with argument -2 cos(theta) the bare Jacobi function has no definite
     # R1R2 parity, unlike the -cos(2 theta) construction used here
@@ -360,13 +376,3 @@ def test_printed_jacobi_argument_breaks_parity():
     assert printed.reflect12() != printed
     f1, _ = sector_basis(2, 1, 1, params)
     assert f1.reflect12() == f1
-
-
-def test_eigenfunction_coeffs_shape():
-    pair = angular_eigenpair(1, (1, 1), 1, NU44)
-    even, odd = pair.eigenfunction_coeffs()
-    theta = 0.83
-    c = math.cos(theta)
-    direct = (sum(ck * c ** k for k, ck in enumerate(even))
-              + math.sin(theta) * sum(ck * c ** k for k, ck in enumerate(odd)))
-    assert direct == pytest.approx(pair.eigenfunction(theta), rel=1e-12)

@@ -309,6 +309,9 @@ _FIGURE = ("figure", "--figure", "2a")
     ("figure", "--figure", "2x"),
     ("figure", "--figure", "2ab"),
     ("figure", "--figure", " "),
+    ("spectrum", "--nu1", "1e400"),
+    (*_THERMO, "--ell", "1e200"),
+    (*_FIGURE, "--ell", "1e200"),
 ], ids=lambda argv: " ".join(argv))
 def test_usage_errors_are_reported_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
