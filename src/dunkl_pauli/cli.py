@@ -141,6 +141,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     nu1, nu2 = params.as_floats()
     et = eta(eps1, eps2, params)
+    emitted = [et] + [x for row in rows for x in row[3:]]
+    if not all(map(math.isfinite, emitted)):
+        raise ValueError("the level table overflows a float at these options "
+                         "(nu1, nu2 or ell too large)")
     lines = ["sector,nu1,nu2,n,ell,m_s,branch,lambda,rho,eta,energy_over_omega_c"]
     for n, ell, m_s, lam, rh, energy in rows:
         lines.append(",".join([
@@ -159,7 +163,13 @@ def _ladder(sector, params: WignerParams, ell: Fraction, sign: int):
 def _thermo_csv(args: argparse.Namespace, quantity: str, sector,
                 params: WignerParams, ell: Fraction, rh: float, et: float) -> str:
     from .thermo import ThermoInputs, sweep
-    curve = sweep(quantity, ThermoInputs(1.0, rh, et, args.mode), args.taus)
+    try:
+        curve = sweep(quantity, ThermoInputs(1.0, rh, et, args.mode), args.taus)
+    except ValueError as exc:
+        raise ValueError(
+            f"cannot evaluate {quantity} on the ladder at ell = {float(ell):.6g} "
+            f"(rho = {rh:.6g}, eta = {et:.6g}) for tau in "
+            f"[{args.tmin:g}, {args.tmax:g}]: {exc}") from None
     nu1, nu2 = params.as_floats()
     lines = [
         "# dunkl-pauli thermo sweep",
@@ -213,17 +223,17 @@ def _figure_curves(fig_num: int, panel: str, override: Fraction | None,
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    # every curve's ladder is computed before anything is written, so an ell
-    # that a sector rejects leaves no partial bundle behind
+    # every CSV and manifest is rendered before anything is written, so an
+    # ell that a sector rejects, or a ladder the thermo kernel cannot
+    # evaluate, leaves no partial bundle and no empty directory behind
     panels = {panel: _figure_curves(args.fig_num, panel, args.ell_value, args.sign)
               for panel in args.panels}
-    out_dir = Path(args.out or "figures")
-    out_dir.mkdir(parents=True, exist_ok=True)
     quantity = _FIGURE_QUANTITY[args.fig_num]
     config = {"subcommand": args.subcommand, "figure": args.figure,
               "ell": args.ell, "branch": args.branch, "mode": args.mode,
               "t_min": args.tmin, "t_max": args.tmax, "steps": args.steps,
               "out": args.out}
+    files = {}
     for panel, curves in panels.items():
         manifest = {
             "figure": f"{args.fig_num}{panel}",
@@ -232,9 +242,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
             "curves": [],
         }
         for label, sector, params, ell, rh, et in curves:
-            csv_text = _thermo_csv(args, quantity, sector, params, ell, rh, et)
             fname = f"fig{args.fig_num}{panel}_{quantity}_{label}.csv"
-            (out_dir / fname).write_text(csv_text, encoding="utf-8", newline="\n")
+            files[fname] = _thermo_csv(args, quantity, sector, params, ell, rh, et)
             nu1, nu2 = params.as_floats()
             manifest["curves"].append({
                 "file": fname,
@@ -246,9 +255,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 "eta": _fmt(et),
                 "mode": args.mode,
             })
-        (out_dir / f"fig{args.fig_num}{panel}_manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8", newline="\n")
+        files[f"fig{args.fig_num}{panel}_manifest.json"] = json.dumps(
+            manifest, indent=2, sort_keys=True) + "\n"
+    out_dir = Path(args.out or "figures")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fname, text in files.items():
+        (out_dir / fname).write_text(text, encoding="utf-8", newline="\n")
     return 0
 
 

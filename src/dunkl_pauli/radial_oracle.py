@@ -24,12 +24,17 @@ tridiagonal matrix whose lowest eigenvalues are 2mE for n = 0, 1, 2, ... with
 an O(h^2) error, which Richardson extrapolation between the steps h and h/2
 removes.  Nothing here reuses the closed-form energy algebra, so agreement
 with it is a genuine cross-check.
+
+The spin enters V only through the Zeeman term, a constant in r, so the two
+spins' spectra differ by that constant alone: validate_sector makes one
+solve per ell, at m_s = +1, and gives m_s = -1 the same spectrum shifted by
+the difference of the two Zeeman terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +74,14 @@ class RadialProblem:
             c -= 4.0 * nu1 * nu2
         return c
 
+    @property
+    def zeeman(self) -> float:
+        """The Zeeman term that V subtracts, constant in r:
+        m B mu_B g_s m_s (1 + nu1 eps1 + nu2 eps2)."""
+        nu1, nu2 = self.params.as_floats()
+        return (self.scale.zeeman_prefactor * self.m_s
+                * (1.0 + nu1 * self.eps1 + nu2 * self.eps2))
+
 
 # The grid: GRID_POINTS nodes uniform in t = ln r, strictly between R_MIN and
 # R_MAX natural lengths sqrt(2/(m w)).  Below R_MIN the regular solution is a
@@ -87,13 +100,11 @@ def build_tridiagonal(problem: RadialProblem, n: int):
     p = 1.0 + 2.0 * nu1 + 2.0 * nu2
     k_coeff = problem.centrifugal_coefficient + (p * p - 2.0 * p) / 4.0
     kappa = math.sqrt(k_coeff + 0.25)
-    zeeman = (problem.scale.zeeman_prefactor * problem.m_s
-              * (1.0 + nu1 * problem.eps1 + nu2 * problem.eps2))
     natural = math.sqrt(2.0 / (m * w))
     t_lo, t_hi = math.log(R_MIN * natural), math.log(R_MAX * natural)
     h = (t_hi - t_lo) / (n + 1)
     r = np.exp(t_lo + h * np.arange(1, n + 1))
-    v_rest = 0.25 * (m * w) ** 2 * r ** 2 + m * w * problem.lam - zeeman
+    v_rest = 0.25 * (m * w) ** 2 * r ** 2 + m * w * problem.lam - problem.zeeman
     a = np.full(n, 2.0 / h ** 2 + kappa ** 2)
     a[0] -= math.exp(-kappa * h) / h ** 2  # ghost node w_0 = w_1 exp(-kappa h)
     return a / r ** 2 + v_rest, -1.0 / (h ** 2 * r[:-1] * r[1:])
@@ -167,11 +178,15 @@ def validate_sector(sector: tuple[int, int], params: WignerParams,
     """Compare oracle eigenvalues (oracle_energies) with the closed forms for
     every ell in ell_list, n <= n_max and both spins.
 
-    Uses the positive lam branch.  The default tolerance, 1e-7 in omega_c
-    units, is about twice the oracle's worst error over nu in (-1/2, 2].  A
-    mismatch above tolerance is reported in the returned object, never
-    raised.  With g_s != 2 the closed forms do not apply and only oracle
-    values are tabulated.
+    One oracle solve per ell, at m_s = +1, serves both spins: the spin enters
+    the radial equation only through the Zeeman term, a constant in r, so the
+    m_s = -1 energies are the m_s = +1 ones shifted by the difference of the
+    two Zeeman terms over 2 m omega_c.  Uses the positive lam branch.
+
+    The default tolerance, 1e-7 in omega_c units, is about twice the
+    oracle's worst error over nu in (-1/2, 2].  A mismatch above tolerance
+    is reported in the returned object, never raised.  With g_s != 2 the
+    closed forms do not apply and only oracle values are tabulated.
     """
     # config: the retired grid setting, kept so positional callers still work
     if config is not None:
@@ -181,10 +196,12 @@ def validate_sector(sector: tuple[int, int], params: WignerParams,
     report = SectorReport(eps1, eps2, params, tolerance)
     for ell in ell_list:
         ell = Fraction(ell)
+        up = RadialProblem.from_state(SectorState(eps1, eps2, 0, ell, 1),
+                                      params, scale)
+        energies = oracle_energies(up, n_max)
         for m_s in (1, -1):
-            state0 = SectorState(eps1, eps2, 0, ell, m_s)
-            problem = RadialProblem.from_state(state0, params, scale)
-            oracle = oracle_energies(problem, n_max)
+            shift = up.zeeman - replace(up, m_s=m_s).zeeman
+            oracle = energies + shift / (2.0 * scale.mass * scale.omega_c)
             for n in range(n_max + 1):
                 closed = None
                 if compare:

@@ -312,6 +312,9 @@ _FIGURE = ("figure", "--figure", "2a")
     ("spectrum", "--nu1", "1e400"),
     (*_THERMO, "--ell", "1e200"),
     (*_FIGURE, "--ell", "1e200"),
+    ("spectrum", "--nu1", "1e300"),
+    (*_THERMO, "--ell", "1e150"),
+    (*_FIGURE, "--ell", "1e150"),
 ], ids=lambda argv: " ".join(argv))
 def test_usage_errors_are_reported_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -320,6 +323,13 @@ def test_usage_errors_are_reported_before_any_output(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [_THERMO, _FIGURE], ids=["thermo", "figure"])
+def test_a_ladder_the_thermo_kernel_cannot_evaluate_is_named(capsys, argv):
+    code, _, err = run(capsys, *argv, "--ell", "1e150", "--steps", "4")
+    assert code == 2
+    assert "ell = 1e+150" in err and "rho = 2e+150" in err
 
 
 # ---------------------------------------------------------------- imports

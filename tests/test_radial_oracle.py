@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from dunkl_pauli import radial_oracle
 from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.radial_oracle import (GRID_POINTS, ComparisonRow,
                                        RadialProblem, build_tridiagonal,
@@ -116,6 +117,40 @@ def test_oracle_matches_closed_form_over_the_whole_nu_range(nu):
         report = validate_sector(sector, params, SCALE, ells, 2)
         assert len(report.rows) == 12
         assert report.worst <= 1e-7, (sector, report.worst)
+
+
+def test_validate_sector_solves_once_per_ell(monkeypatch):
+    # one solve per ell serves both spins: its two grid sizes (N and 2N + 1
+    # nodes) are the only eigen-solves
+    calls = []
+
+    def counting(matrix, k):
+        calls.append(k)
+        return lowest_eigenvalues(matrix, k)
+
+    monkeypatch.setattr(radial_oracle, "lowest_eigenvalues", counting)
+    ells = lowest_ells(1, 3)
+    report = validate_sector((1, 1), NU44, SCALE, ells, 2)
+    assert len(report.rows) == 2 * 3 * len(ells)
+    assert calls == [3] * (2 * len(ells))
+
+
+@pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
+def test_spin_down_rows_match_an_independent_solve(nu):
+    # the m_s = -1 rows are the shifted m_s = +1 solve; a solve of the matrix
+    # with the m_s = -1 Zeeman term on its diagonal must give the same levels
+    params = WignerParams(*nu)
+    for scale in (SCALE, OscillatorScale(g_s=2.0023)):
+        for sector in SECTORS:
+            ells = lowest_ells(sector[0] * sector[1], 2)
+            report = validate_sector(sector, params, scale, ells, 2)
+            for ell in ells:
+                state = SectorState(*sector, 0, ell, -1)
+                direct = oracle_energies(
+                    RadialProblem.from_state(state, params, scale), 2)
+                shifted = [r.oracle for r in report.rows
+                           if r.ell == ell and r.m_s == -1]
+                assert shifted == pytest.approx(list(direct), abs=1e-11, rel=0)
 
 
 def test_validate_sector_report():
