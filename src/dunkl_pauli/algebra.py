@@ -45,7 +45,9 @@ class WignerParams:
         return self.nu1 if axis == 1 else self.nu2
 
     def as_floats(self) -> tuple[float, float]:
-        return float(self.nu1), float(self.nu2)
+        """Each nu as one correctly rounded int/int division, = float(nu)."""
+        return (self.nu1.numerator / self.nu1.denominator,
+                self.nu2.numerator / self.nu2.denominator)
 
 
 def _check_axis(axis: int) -> None:

@@ -283,8 +283,11 @@ class TrigPoly:
         return TrigPoly(b.shift_up() - _times_s2(b.derivative()), -a.derivative())
 
     def evaluate(self, theta: float):
-        c = math.cos(theta)
-        return self.even.evaluate(c) + math.sin(theta) * self.odd.evaluate(c)
+        return self.evaluate_cs(math.cos(theta), math.sin(theta))
+
+    def evaluate_cs(self, c: float, s: float):
+        """f at the angle with cosine c and sine s."""
+        return self.even.evaluate(c) + s * self.odd.evaluate(c)
 
     def __repr__(self):
         return f"TrigPoly(even={list(self.even.coeffs)}, odd={list(self.odd.coeffs)})"
@@ -395,27 +398,33 @@ def _validate_sector_ell(ell: Fraction, epsilon: int) -> None:
         raise ValueError(f"sector parity must be +1 or -1, got {epsilon}")
 
 
+def _radicand_terms(ell, epsilon: int, params: WignerParams) -> tuple[int, int]:
+    """lam^2 as integers (numerator, denominator > 0), not reduced."""
+    if not isinstance(ell, Fraction):
+        ell = Fraction(ell)
+    _validate_sector_ell(ell, epsilon)
+    p, q = ell.numerator, ell.denominator
+    (a, b), (c, d) = params.nu1.as_integer_ratio(), params.nu2.as_integer_ratio()
+    if epsilon == 1:
+        return 4 * p * (p * b * d + a * q * d + c * q * b), q * q * b * d
+    return 4 * (p * b + a * q) * (p * d + c * q), q * q * b * d
+
+
 def lambda_radicand(ell, epsilon: int, params: WignerParams) -> Fraction:
     """Exact lam^2: 4*ell*(ell+nu1+nu2) in the even sector,
     4*(ell+nu1)*(ell+nu2) in the odd sector."""
-    ell = Fraction(ell)
-    _validate_sector_ell(ell, epsilon)
-    p, q = ell.numerator, ell.denominator
-    (a, b), (c, d) = [(nu.numerator, nu.denominator)
-                      for nu in (params.nu1, params.nu2)]
-    if epsilon == 1:
-        return Fraction(4 * p * (p * b * d + a * q * d + c * q * b), q * q * b * d)
-    return Fraction(4 * (p * b + a * q) * (p * d + c * q), q * q * b * d)
+    return Fraction(*_radicand_terms(ell, epsilon, params))
 
 
 def lambda_value(ell, epsilon: int, branch: int, params: WignerParams) -> float:
-    """Signed closed-form angular eigenvalue lam for the requested branch."""
+    """Signed closed-form angular eigenvalue lam for the requested branch; lam^2
+    is one correctly rounded int/int division, equal to float(lambda_radicand)."""
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    rad = lambda_radicand(ell, epsilon, params)
-    if rad < 0:
-        raise ValueError(f"negative radicand {rad} for ell={ell}")
-    return branch * math.sqrt(float(rad))
+    num, den = _radicand_terms(ell, epsilon, params)
+    if num < 0:
+        raise ValueError(f"negative radicand {Fraction(num, den)} for ell={ell}")
+    return branch * math.sqrt(num / den)
 
 
 def _sqrt_exact(q: Fraction):
@@ -540,7 +549,8 @@ def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
         raise ValueError(
             f"degenerate restriction (det={det}) "
             f"for ell={ell}, sector=({eps1},{eps2})")
-    if det != lambda_radicand(ell, epsilon, params):
+    num, den = _radicand_terms(ell, epsilon, params)
+    if det.numerator * den != num * det.denominator:
         raise ValueError("restriction determinant disagrees with closed form")
 
     lam_exact_abs = _sqrt_exact(det)

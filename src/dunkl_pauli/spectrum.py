@@ -67,7 +67,8 @@ class SectorState:
             raise ValueError(f"branch must be +1 or -1, got {self.branch}")
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {self.n}")
-        object.__setattr__(self, "ell", Fraction(self.ell))
+        if not isinstance(self.ell, Fraction):
+            object.__setattr__(self, "ell", Fraction(self.ell))
         _validate_sector_ell(self.ell, self.eps1 * self.eps2)
 
     @property
@@ -91,10 +92,11 @@ def _kappa(lam: float, epsilon: int, params: WignerParams) -> float:
     """sqrt(D^2 + lam^2) with D = nu1 + nu2 in the even sector and nu1 - nu2
     in the odd one.
 
-    D is reduced in exact rational arithmetic first, so deformations with
-    nu1 = -nu2 reproduce the undeformed value bit for bit.
+    D is one correctly rounded int/int division, equal to float(nu1 +/- nu2),
+    so deformations with nu1 = -nu2 reproduce the undeformed value exactly.
     """
-    d = float(params.nu1 + params.nu2 if epsilon == 1 else params.nu1 - params.nu2)
+    (a, b), (c, e) = params.nu1.as_integer_ratio(), params.nu2.as_integer_ratio()
+    d = (a * e + c * b if epsilon == 1 else a * e - c * b) / (b * e)
     return math.sqrt(d * d + lam * lam)
 
 
@@ -106,11 +108,12 @@ def rho(ell, epsilon: int, branch: int, params: WignerParams) -> float:
 
 
 def eta(eps1: int, eps2: int, params: WignerParams) -> float:
-    """Sector Zeeman weight (1 + eps1*nu1 + eps2*nu2)/2, reduced exactly
-    before float conversion (eta is 1/2 on the nose when eps1*nu1 = -eps2*nu2)."""
+    """Sector Zeeman weight (1 + eps1*nu1 + eps2*nu2)/2 as one correctly rounded
+    int/int division, = float(Fraction): 1/2 on the nose when eps1*nu1 = -eps2*nu2."""
     if eps1 not in (1, -1) or eps2 not in (1, -1):
         raise ValueError(f"sector labels must be +/-1, got ({eps1}, {eps2})")
-    return float((1 + eps1 * params.nu1 + eps2 * params.nu2) / 2)
+    (a, b), (c, d) = params.nu1.as_integer_ratio(), params.nu2.as_integer_ratio()
+    return (b * d + eps1 * a * d + eps2 * c * b) / (2 * b * d)
 
 
 def energy_over_omega_c(state: SectorState, params: WignerParams) -> float:

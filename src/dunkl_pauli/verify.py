@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,13 +60,14 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def check(self, condition: bool, describe: str) -> None:
+    def check(self, condition: bool, describe: Callable[[], str]) -> None:
+        """Count one check; describe() runs only if it fails (first 20 kept)."""
         if condition:
             self.passed += 1
         else:
             self.failed += 1
             if len(self.counterexamples) < 20:
-                self.counterexamples.append(describe)
+                self.counterexamples.append(describe())
 
 
 @dataclass(frozen=True)
@@ -116,24 +118,24 @@ def run_algebra_suite(n_polys: int = 200, seed: int = DEFAULT_SEED) -> SuiteResu
             for j in (1, 2):
                 got = commutator_xD(p, i, j, params)
                 want = (p + 2 * nus[j] * reflect(p, j)) if i == j else BivarPoly.zero()
-                res.check(got == want,
+                res.check(got == want, lambda:
                           f"[x{i},D{j}] identity failed on sample {idx} (nu={params})")
         d12 = dunkl_derive(dunkl_derive(p, 2, params), 1, params)
         d21 = dunkl_derive(dunkl_derive(p, 1, params), 2, params)
-        res.check(d12 == d21, f"[D1,D2] != 0 on sample {idx}")
+        res.check(d12 == d21, lambda: f"[D1,D2] != 0 on sample {idx}")
         for j in (1, 2):
             res.check(reflect(reflect(p, j), j) == p,
-                      f"R{j} involution failed on sample {idx}")
+                      lambda: f"R{j} involution failed on sample {idx}")
             for i, xi in ((1, X1), (2, X2)):
                 sgn = -1 if i == j else 1
                 res.check(reflect(xi * p, j) == sgn * (xi * reflect(p, j)),
-                          f"R{j} x{i} relation failed on sample {idx}")
+                          lambda: f"R{j} x{i} relation failed on sample {idx}")
         res.check(dunkl_laplacian(p, params) == dunkl_laplacian_expanded(p, params),
-                  f"Laplacian composition/expansion mismatch on sample {idx}")
+                  lambda: f"Laplacian composition/expansion mismatch on sample {idx}")
         for j in (1, 2):
             lin = dunkl_derive(alpha * p + q, j, params)
             res.check(lin == alpha * dunkl_derive(p, j, params) + dunkl_derive(q, j, params),
-                      f"D{j} linearity failed on sample {idx}")
+                      lambda: f"D{j} linearity failed on sample {idx}")
     res.seconds = time.monotonic() - t0
     return res
 
@@ -149,11 +151,12 @@ def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> Suite
         ident = (apply_G(apply_G(f, params), params) + 2 * apply_B(f, params)
                  + 2 * params.nu1 * params.nu2 * (f - f.reflect12()))
         res.check(ident.is_zero(),
-                  f"G^2 + 2B + 2nu1nu2(1-R1R2) != 0 on sample {idx} (nu={params})")
+                  lambda: f"G^2 + 2B + 2nu1nu2(1-R1R2) != 0 on sample {idx} (nu={params})")
         res.check(apply_G(f.reflect12(), params) == apply_G(f, params).reflect12(),
-                  f"[G, R1R2] != 0 on sample {idx}")
+                  lambda: f"[G, R1R2] != 0 on sample {idx}")
 
-    thetas = [0.1 + 0.17 * k for k in range(36)]
+    # (cos, sin) of the 36 residual angles, computed once
+    angles = [(math.cos(t), math.sin(t)) for t in (0.1 + 0.17 * k for k in range(36))]
     for nu1, nu2 in NU_GRID:
         params = WignerParams(nu1, nu2)
         for eps1, eps2 in SECTORS:
@@ -161,20 +164,21 @@ def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> Suite
             for ell in lowest_ells(epsilon, 5):
                 pair = angular_eigenpair(ell, (eps1, eps2), 1, params)
                 rad = float(lambda_radicand(ell, epsilon, params))
-                res.check(abs(pair.lam ** 2 - rad) <= 1e-12 * max(rad, 1.0),
+                res.check(abs(pair.lam ** 2 - rad) <= 1e-12 * max(rad, 1.0), lambda:
                           f"lam^2 mismatch at ell={ell}, sector=({eps1},{eps2}), nu={params}")
-                g_basis = [apply_G(f, params) for f in pair.basis]
-                worst = max(abs(sum(w * g.evaluate(t)
-                                    for w, g in zip(pair.weights, g_basis))
-                                - (-1j * pair.lam) * pair.eigenfunction(t))
-                            for t in thetas)
+                basis, weights = pair.basis, pair.weights
+                g_basis = [apply_G(f, params) for f in basis]
+                worst = max(abs(sum(w * g.evaluate_cs(c, s) for w, g in zip(weights, g_basis))
+                                - (-1j * pair.lam)
+                                * sum(w * f.evaluate_cs(c, s) for w, f in zip(weights, basis)))
+                            for c, s in angles)
                 scl = max(abs(pair.lam), 1.0)
                 res.check(worst <= 1e-11 * scl,
-                          f"G Theta != -i lam Theta at ell={ell}, "
+                          lambda: f"G Theta != -i lam Theta at ell={ell}, "
                           f"sector=({eps1},{eps2}), nu={params}: resid {worst:g}")
                 conj = angular_eigenpair(ell, (eps1, eps2), -1, params)
                 res.check(all(abs(a.conjugate() - b) <= 1e-14 * max(abs(a), 1.0)
-                              for a, b in zip(pair.weights, conj.weights)),
+                              for a, b in zip(pair.weights, conj.weights)), lambda:
                           f"branch conjugacy fails at ell={ell}, sector=({eps1},{eps2})")
     res.seconds = time.monotonic() - t0
     return res
@@ -191,7 +195,7 @@ def run_spectrum_suite() -> SuiteResult:
             epsilon = eps1 * eps2
             for ell in lowest_ells(epsilon, 5):
                 lhs, rhs = radical_identity_check(ell, epsilon, params)
-                res.check(abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0),
+                res.check(abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0), lambda:
                           f"radical identity fails: ell={ell}, eps={epsilon}, nu={params}")
                 for n in range(4):
                     for m_s in (1, -1):
@@ -200,16 +204,16 @@ def run_spectrum_suite() -> SuiteResult:
                             e1 = energy_over_omega_c(st, params)
                             e2 = energy_sector_form(st, params)
                             res.check(abs(e1 - e2) <= 1e-12 * max(abs(e1), 1.0),
-                                      f"sector/compact mismatch at {st} nu={params}")
+                                      lambda: f"sector/compact mismatch at {st} nu={params}")
                 e_up = energy_over_omega_c(SectorState(eps1, eps2, 0, ell, 1), params)
                 e_dn = energy_over_omega_c(SectorState(eps1, eps2, 0, ell, -1), params)
-                res.check(abs((e_dn - e_up) - 2 * eta(eps1, eps2, params)) <= 1e-12,
+                res.check(abs((e_dn - e_up) - 2 * eta(eps1, eps2, params)) <= 1e-12, lambda:
                           f"Zeeman split != 2*eta at ell={ell}, sector=({eps1},{eps2})")
-    res.check(hyp1f1(-3.0, 1.5, 0.0) == 1.0, "M(a,b,0) != 1")
+    res.check(hyp1f1(-3.0, 1.5, 0.0) == 1.0, lambda: "M(a,b,0) != 1")
     res.check(abs(hyp1f1(-1.0, 3.0, 2.0) - (1 - 2.0 / 3.0)) < 1e-15,
-              "M(-1,b,x) != 1 - x/b")
+              lambda: "M(-1,b,x) != 1 - x/b")
     res.check(abs(hyp1f1(-2.0, 2.0, 1.5) - (-0.125)) < 1e-15,
-              "terminating M(-2,2,1.5) != -1/8")
+              lambda: "terminating M(-2,2,1.5) != -1/8")
     res.seconds = time.monotonic() - t0
     return res
 
@@ -233,7 +237,7 @@ def run_oracle_suite(n_max: int = 2, tolerance: float = 1e-7) -> SuiteResult:
                                      tolerance=tolerance)
             for row in report.rows:
                 res.check(row.deviation is not None and row.deviation <= tolerance,
-                          f"oracle deviation {row.deviation:g} at sector={sector}, "
+                          lambda: f"oracle deviation {row.deviation:g} at sector={sector}, "
                           f"nu={params}, ell={row.ell}, n={row.n}, m_s={row.m_s}")
     res.seconds = time.monotonic() - t0
     return res
@@ -263,10 +267,10 @@ def run_thermo_suite() -> SuiteResult:
             z = thermo.partition(ti)
             zd = thermo.direct_sum_partition(x, r, h)
             res.check(abs(z - zd) <= 1e-12 * zd,
-                      f"Z closed vs direct sum: x={x}, rho={r:.6g}, eta={h:.6g}")
+                      lambda: f"Z closed vs direct sum: x={x}, rho={r:.6g}, eta={h:.6g}")
             res.check(abs(z * math.exp(x * r) * math.sinh(0.5 * x)
                           / math.cosh(x * h) - 1.0) <= 1e-12,
-                      f"Z rearrangement identity: x={x}, rho={r:.6g}")
+                      lambda: f"Z rearrangement identity: x={x}, rho={r:.6g}")
     r, h = 2.0, 0.9
     for x in (0.3, 1.0, 3.0):
         dx = 1e-4 * x
@@ -274,27 +278,27 @@ def run_thermo_suite() -> SuiteResult:
         dn = thermo.log_partition(thermo.ThermoInputs(x - dx, r, h))
         u_fd = -(up - dn) / (2 * dx)
         u = thermo.internal_energy(thermo.ThermoInputs(x, r, h))
-        res.check(abs(u - u_fd) <= 1e-6 * abs(u), f"U vs -dlogZ/dbeta at x={x}")
+        res.check(abs(u - u_fd) <= 1e-6 * abs(u), lambda: f"U vs -dlogZ/dbeta at x={x}")
         du = (thermo.internal_energy(thermo.ThermoInputs(x + dx, r, h))
               - thermo.internal_energy(thermo.ThermoInputs(x - dx, r, h))) / (2 * dx)
         c = thermo.heat_capacity(thermo.ThermoInputs(x, r, h))
         res.check(abs(c - (-x * x * du)) <= 1e-6 * abs(c),
-                  f"C vs -beta^2 dU/dbeta at x={x}")
+                  lambda: f"C vs -beta^2 dU/dbeta at x={x}")
     x = 0.05
     while x <= 50.0:
         ti = thermo.ThermoInputs(x, 1.3, 0.7)
         resid = abs(x * thermo.helmholtz(ti) - x * thermo.internal_energy(ti)
                     + thermo.entropy(ti))
-        res.check(resid <= 1e-10, f"F = U - TS residual {resid:g} at x={x:.3g}")
+        res.check(resid <= 1e-10, lambda: f"F = U - TS residual {resid:g} at x={x:.3g}")
         x *= 1.7
     for x in (0.5, 3.0, 40.0):
         c1 = thermo.heat_capacity(thermo.ThermoInputs(x, 1.0, 0.9, "consistent"))
         c2 = thermo.heat_capacity(thermo.ThermoInputs(x, 1.0, 0.9, "paper-faithful"))
-        res.check(c1 == c2, f"C differs across modes at x={x}")
+        res.check(c1 == c2, lambda: f"C differs across modes at x={x}")
     for x in (1e-3, 1.0, 30.0, 100.0, 700.0):
         for q, fn in thermo.QUANTITIES.items():
             v = fn(thermo.ThermoInputs(x, 2.74, 0.9))
-            res.check(math.isfinite(v), f"{q} non-finite at x={x}")
+            res.check(math.isfinite(v), lambda: f"{q} non-finite at x={x}")
     # nu1 = -nu2 in an even-parity sector reduces to the undeformed ladder
     params = WignerParams(Fraction(2, 5), Fraction(-2, 5))
     params0 = WignerParams(0, 0)
@@ -303,7 +307,7 @@ def run_thermo_suite() -> SuiteResult:
             x, rho(1, 1, 1, params), eta(1, 1, params)))
         z0 = thermo.partition(thermo.ThermoInputs(
             x, rho(1, 1, 1, params0), eta(1, 1, params0)))
-        res.check(zi == z0, f"nu1=-nu2 reduction fails at x={x}")
+        res.check(zi == z0, lambda: f"nu1=-nu2 reduction fails at x={x}")
     res.seconds = time.monotonic() - t0
     return res
 
