@@ -11,8 +11,8 @@ import importlib
 
 from .algebra import (BivarPoly, WignerParams, commutator_xD, dunkl_derive,
                       dunkl_laplacian, reflect)
-from .angular import (AngularEigenpair, TrigPoly, angular_eigenpair, apply_B,
-                      apply_G, jacobi, lambda_value)
+from .angular import (AngularEigenpair, TrigPoly, angular_eigenpair,
+                      angular_eigenpairs, apply_B, apply_G, jacobi, lambda_value)
 from .spectrum import (OscillatorScale, SectorState, energy,
                        energy_over_omega_c, eta, hyp1f1, radial_wavefunction,
                        radical_identity_check, rho)
@@ -34,12 +34,13 @@ _LAZY = {
 __all__ = [
     "AngularEigenpair", "BivarPoly", "OscillatorScale", "RadialProblem",
     "SectorState", "ThermoCurve", "ThermoInputs", "TrigPoly", "WignerParams",
-    "angular_eigenpair", "apply_B", "apply_G", "build_tridiagonal",
-    "commutator_xD", "direct_sum_partition", "dunkl_derive", "dunkl_laplacian",
-    "energy", "energy_over_omega_c", "entropy", "eta", "heat_capacity",
-    "helmholtz", "hyp1f1", "internal_energy", "jacobi", "lambda_value",
-    "lowest_eigenvalues", "partition", "radial_wavefunction",
-    "radical_identity_check", "reflect", "rho", "sweep", "validate_sector",
+    "angular_eigenpair", "angular_eigenpairs", "apply_B", "apply_G",
+    "build_tridiagonal", "commutator_xD", "direct_sum_partition",
+    "dunkl_derive", "dunkl_laplacian", "energy", "energy_over_omega_c",
+    "entropy", "eta", "heat_capacity", "helmholtz", "hyp1f1",
+    "internal_energy", "jacobi", "lambda_value", "lowest_eigenvalues",
+    "partition", "radial_wavefunction", "radical_identity_check", "reflect",
+    "rho", "sweep", "validate_sector",
 ]
 
 

@@ -25,6 +25,8 @@ part, and f2 = s*B(c), which has only an odd part (Jacobi polynomials in
 -cos 2*theta with sector-specific prefactors).  G maps each of them onto a
 multiple of the other, so its restriction is [[0, m12], [m21, 0]] with two
 exact rational ratios; lam^2 = -m12*m21 and the complex mixing weights follow.
+None of this depends on the sign of lam, so both branches come from one
+exact restriction: one basis build and one G image per basis function.
 """
 
 from __future__ import annotations
@@ -484,7 +486,8 @@ class AngularEigenpair:
 
     The eigenfunction is weights[0]*basis[0] + weights[1]*basis[1] with exact
     rational basis functions and complex mixing weights; it satisfies
-    G(Theta) = -i*lam*Theta and R1R2(Theta) = epsilon*Theta.
+    G(Theta) = -i*lam*Theta and R1R2(Theta) = epsilon*Theta.  images holds
+    the exact G(basis[k]) that the construction computed and checked.
     """
 
     eps1: int
@@ -494,6 +497,7 @@ class AngularEigenpair:
     lam: float
     lam_exact: Fraction | None
     basis: tuple[TrigPoly, ...]
+    images: tuple[TrigPoly, ...]
     weights: tuple[complex, ...]
     params: WignerParams
     is_constant_mode: bool = False
@@ -506,33 +510,34 @@ class AngularEigenpair:
         return sum(w * f.evaluate(theta) for w, f in zip(self.weights, self.basis))
 
 
-def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
-                      params: WignerParams) -> AngularEigenpair:
-    """Construct and verify the angular eigenpair for (ell, sector, branch).
+def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
+                       ) -> tuple[AngularEigenpair, AngularEigenpair]:
+    """Construct and verify both branches (+1, -1) of the angular eigenpair
+    for (ell, sector) from one exact restriction.
 
     G maps f1 onto m21*f2 and f2 onto m12*f1, with no component along the
     function it started from, so the restriction of G to the candidate space
     is [[0, m12], [m21, 0]] and lam^2 = -m12*m21.  Both ratios are exact and
     checked, so a basis that G does not swap raises, and lam^2 is checked
-    against the closed form exactly.  The mixing weights are (1, -i*lam/m12),
-    checked against the restriction to 1e-12, so the +/- branches are complex
-    conjugates of each other.
-    The ell = 0 constant mode (lam = 0) is returned with is_constant_mode set
-    so enumerations can exclude it.
+    against the closed form exactly.  None of this depends on the branch, so
+    it is done once.  Each branch then takes lam's sign and the mixing
+    weights (1, -i*lam/m12), checked against the restriction to 1e-12, so
+    the two branches are complex conjugates of each other.
+    The ell = 0 constant mode (lam = 0, image 0) is returned with
+    is_constant_mode set so enumerations can exclude it.
     """
     eps1, eps2 = sector
     if eps1 not in (1, -1) or eps2 not in (1, -1):
         raise ValueError(f"sector labels must be +/-1, got {sector}")
-    if branch not in (1, -1):
-        raise ValueError(f"branch must be +1 or -1, got {branch}")
     epsilon = eps1 * eps2
     ell = Fraction(ell)
     _validate_sector_ell(ell, epsilon)
 
     if epsilon == 1 and ell == 0:
-        return AngularEigenpair(eps1, eps2, ell, branch, 0.0, Fraction(0),
-                                (TrigPoly.one(),), (1 + 0j,), params,
-                                is_constant_mode=True)
+        return tuple([AngularEigenpair(eps1, eps2, ell, branch, 0.0, Fraction(0),
+                                       (TrigPoly.one(),), (TrigPoly(),), (1 + 0j,),
+                                       params, is_constant_mode=True)
+                      for branch in (1, -1)])
 
     f1, f2 = sector_basis(ell, eps1, eps2, params)
     for f in (f1, f2):
@@ -553,18 +558,29 @@ def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
     if det.numerator * den != num * det.denominator:
         raise ValueError("restriction determinant disagrees with closed form")
 
-    lam_exact_abs = _sqrt_exact(det)
-    if lam_exact_abs is not None:
-        lam_exact = branch * lam_exact_abs
-        lam = float(lam_exact)
-    else:
-        lam_exact = None
-        lam = branch * math.sqrt(float(det))
-    # the eigenvector (m12, -i*lam) scaled by its first component: its first
-    # row holds by construction, the second checks m21*w1 = -i*lam*w2
-    mu, scale = complex(0.0, -lam), float(m12)
-    w1, w2 = complex(scale) / scale, mu / scale
-    if abs(float(m21) * w1 - mu * w2) > 1e-12 * max(abs(lam), 1.0):
-        raise AssertionError("eigenvector verification failed")
-    return AngularEigenpair(eps1, eps2, ell, branch, lam, lam_exact,
-                            (f1, f2), (w1, w2), params)
+    root = _sqrt_exact(det)
+    lam_abs = math.sqrt(float(det)) if root is None else float(root)
+    scale = float(m12)
+    pairs = []
+    for branch in (1, -1):
+        lam = branch * lam_abs
+        # the eigenvector (m12, -i*lam) scaled by its first component: its
+        # first row holds by construction, the second checks m21*w1 = -i*lam*w2
+        mu = complex(0.0, -lam)
+        w1, w2 = complex(scale) / scale, mu / scale
+        if abs(float(m21) * w1 - mu * w2) > 1e-12 * max(abs(lam), 1.0):
+            raise AssertionError("eigenvector verification failed")
+        pairs.append(AngularEigenpair(eps1, eps2, ell, branch, lam,
+                                      None if root is None else branch * root,
+                                      (f1, f2), (g1, g2), (w1, w2), params))
+    return tuple(pairs)
+
+
+def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
+                      params: WignerParams) -> AngularEigenpair:
+    """The branch +1 or -1 member of angular_eigenpairs(ell, sector, params),
+    which builds both branches from one exact restriction."""
+    if branch not in (1, -1):
+        raise ValueError(f"branch must be +1 or -1, got {branch}")
+    plus, minus = angular_eigenpairs(ell, sector, params)
+    return plus if branch == 1 else minus

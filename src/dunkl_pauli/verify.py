@@ -28,8 +28,9 @@ from . import thermo
 from .algebra import (BivarPoly, WignerParams, X1, X2, angular_momentum_action,
                       commutator_xD, dunkl_derive, dunkl_laplacian,
                       dunkl_laplacian_expanded, reflect)
-from .angular import (Poly1, TrigPoly, angular_eigenpair, apply_B, apply_G,
-                      jacobi, lambda_radicand, restrict_to_circle, sector_basis)
+from .angular import (Poly1, TrigPoly, angular_eigenpair, angular_eigenpairs,
+                      apply_B, apply_G, jacobi, lambda_radicand,
+                      restrict_to_circle)
 from .spectrum import (SECTORS, OscillatorScale, SectorState,
                        energy_over_omega_c, energy_sector_form, eta, hyp1f1,
                        lowest_ells, radical_identity_check, rho)
@@ -141,18 +142,21 @@ def run_algebra_suite(n_polys: int = 200, seed: int = DEFAULT_SEED) -> SuiteResu
 
 
 def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> SuiteResult:
-    """Angular operator identity (exact) plus eigenpair construction checks."""
+    """Angular operator identity (exact) plus eigenpair construction checks.
+    Both branches of each eigenpair come from one exact restriction, and the
+    residual evaluates the G images that restriction checked."""
     t0 = time.monotonic()
     res = SuiteResult("angular (operator identity and eigenpairs)")
     rng = random.Random(seed)
     for idx in range(n_funcs):
         f = random_trig_poly(rng)
         params = WignerParams(_random_nu(rng), _random_nu(rng))
-        ident = (apply_G(apply_G(f, params), params) + 2 * apply_B(f, params)
+        g = apply_G(f, params)
+        ident = (apply_G(g, params) + 2 * apply_B(f, params)
                  + 2 * params.nu1 * params.nu2 * (f - f.reflect12()))
         res.check(ident.is_zero(),
                   lambda: f"G^2 + 2B + 2nu1nu2(1-R1R2) != 0 on sample {idx} (nu={params})")
-        res.check(apply_G(f.reflect12(), params) == apply_G(f, params).reflect12(),
+        res.check(apply_G(f.reflect12(), params) == g.reflect12(),
                   lambda: f"[G, R1R2] != 0 on sample {idx}")
 
     # (cos, sin) of the 36 residual angles, computed once
@@ -162,13 +166,12 @@ def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> Suite
         for eps1, eps2 in SECTORS:
             epsilon = eps1 * eps2
             for ell in lowest_ells(epsilon, 5):
-                pair = angular_eigenpair(ell, (eps1, eps2), 1, params)
+                pair, conj = angular_eigenpairs(ell, (eps1, eps2), params)
                 rad = float(lambda_radicand(ell, epsilon, params))
                 res.check(abs(pair.lam ** 2 - rad) <= 1e-12 * max(rad, 1.0), lambda:
                           f"lam^2 mismatch at ell={ell}, sector=({eps1},{eps2}), nu={params}")
-                basis, weights = pair.basis, pair.weights
-                g_basis = [apply_G(f, params) for f in basis]
-                worst = max(abs(sum(w * g.evaluate_cs(c, s) for w, g in zip(weights, g_basis))
+                basis, images, weights = pair.basis, pair.images, pair.weights
+                worst = max(abs(sum(w * g.evaluate_cs(c, s) for w, g in zip(weights, images))
                                 - (-1j * pair.lam)
                                 * sum(w * f.evaluate_cs(c, s) for w, f in zip(weights, basis)))
                             for c, s in angles)
@@ -176,7 +179,6 @@ def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> Suite
                 res.check(worst <= 1e-11 * scl,
                           lambda: f"G Theta != -i lam Theta at ell={ell}, "
                           f"sector=({eps1},{eps2}), nu={params}: resid {worst:g}")
-                conj = angular_eigenpair(ell, (eps1, eps2), -1, params)
                 res.check(all(abs(a.conjugate() - b) <= 1e-14 * max(abs(a), 1.0)
                               for a, b in zip(pair.weights, conj.weights)), lambda:
                           f"branch conjugacy fails at ell={ell}, sector=({eps1},{eps2})")
@@ -379,10 +381,10 @@ def _finding_jacobi_argument() -> DiscrepancyFinding:
     r12 = printed.reflect12()
     parity_broken = not (r12.even == printed.even and r12.odd == printed.odd)
     # repaired form: argument -cos(2 theta), weight-derived parameters
-    f1, _ = sector_basis(2, 1, 1, params)
+    pair = angular_eigenpair(2, (1, 1), 1, params)
+    f1 = pair.basis[0]
     r12f = f1.reflect12()
     repaired_ok = (r12f.even == f1.even and r12f.odd == f1.odd)
-    pair = angular_eigenpair(2, (1, 1), 1, params)
     lam_ok = abs(pair.lam ** 2 - float(lambda_radicand(2, 1, params))) < 1e-12
     confirmed = parity_broken and repaired_ok and lam_ok
     return DiscrepancyFinding(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from dunkl_pauli import angular
 from dunkl_pauli.algebra import WignerParams, X1, X2, angular_momentum_action
-from dunkl_pauli.angular import (Poly1, TrigPoly, angular_eigenpair, apply_B,
-                                 apply_G, jacobi, lambda_radicand,
-                                 lambda_value, restrict_to_circle,
-                                 sector_basis)
+from dunkl_pauli.angular import (Poly1, TrigPoly, angular_eigenpair,
+                                 angular_eigenpairs, apply_B, apply_G, jacobi,
+                                 lambda_radicand, lambda_value,
+                                 restrict_to_circle, sector_basis)
+from dunkl_pauli.spectrum import SECTORS, lowest_ells
+from test_radial_oracle import WIDE_NUS
 
 NU0 = WignerParams(0, 0)
 NU44 = WignerParams(F(2, 5), F(2, 5))
@@ -332,6 +335,42 @@ def test_branches_are_complex_conjugates():
         assert b == pytest.approx(a.conjugate(), rel=1e-14, abs=1e-14)
 
 
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
+def test_one_branch_is_its_member_of_the_pair(nu):
+    params = WignerParams(*nu)
+    for sector in SECTORS:
+        eps = sector[0] * sector[1]
+        for ell in [F(0)] * (eps == 1) + lowest_ells(eps, 2):
+            pairs = angular_eigenpairs(ell, sector, params)
+            assert [p.branch for p in pairs] == [1, -1]
+            for branch, member in zip((1, -1), pairs):
+                single = angular_eigenpair(ell, sector, branch, params)
+                for field in fields(single):
+                    a, b = getattr(single, field.name), getattr(member, field.name)
+                    if field.name == "lam":
+                        assert _bits(a) == _bits(b)
+                    elif field.name == "weights":
+                        assert list(map(_bits, a)) == list(map(_bits, b))
+                    else:
+                        assert a == b, field.name
+                assert member.images == tuple(apply_G(f, params) for f in member.basis)
+                assert member.is_constant_mode == (ell == 0)
+
+
+def test_bad_branch_raises_before_any_basis_is_built(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("basis built for a bad branch")
+
+    monkeypatch.setattr(angular, "sector_basis", no_basis)
+    for branch in (0, 2, -2):
+        with pytest.raises(ValueError, match=f"branch must be \\+1 or -1, got {branch}"):
+            angular_eigenpair(2, (1, 1), branch, NU44)
+
+
 def test_constant_mode_flagged():
     pair = angular_eigenpair(0, (1, 1), 1, NU44)
     assert pair.is_constant_mode and pair.lam == 0.0
@@ -365,6 +404,8 @@ def test_eigenpair_rejects_a_basis_G_does_not_swap(monkeypatch, distort):
     for ell, sector in ((2, (1, 1)), (F(3, 2), (1, -1))):
         with pytest.raises(ValueError, match="candidate space"):
             angular_eigenpair(ell, sector, 1, NU44)
+        with pytest.raises(ValueError, match="candidate space"):
+            angular_eigenpairs(ell, sector, NU44)
 
 
 def test_printed_jacobi_argument_breaks_parity():

@@ -1,7 +1,8 @@
 import re
 from pathlib import Path
 
-from dunkl_pauli import verify
+from dunkl_pauli import angular, verify
+from dunkl_pauli.spectrum import SECTORS, lowest_ells
 from dunkl_pauli.verify import SuiteResult
 
 PINNED_REPORT = Path(__file__).parent / "data" / "verify_report.txt"
@@ -36,6 +37,31 @@ def test_a_failing_suite_check_reports_its_description(monkeypatch):
     assert res.failed == 500
     assert len(res.counterexamples) == 20
     assert res.counterexamples[0] == "Zeeman split != 2*eta at ell=1, sector=(1,1)"
+
+
+def test_angular_suite_builds_each_basis_and_image_once(monkeypatch):
+    # one sector_basis and two apply_G calls per eigenpair case, for both
+    # branches and the residual; three apply_G calls per random polynomial
+    calls = {"sector_basis": 0, "apply_G": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(angular, "sector_basis",
+                        counting("sector_basis", angular.sector_basis))
+    apply_G = counting("apply_G", angular.apply_G)
+    monkeypatch.setattr(angular, "apply_G", apply_G)
+    monkeypatch.setattr(verify, "apply_G", apply_G)  # verify binds it by name
+    n_funcs = 3
+    res = verify.run_angular_suite(n_funcs=n_funcs)
+    ells = [lowest_ells(e1 * e2, 5) for e1, e2 in SECTORS]
+    assert all(ell > 0 for sector_ells in ells for ell in sector_ells)
+    cases = len(verify.NU_GRID) * sum(map(len, ells))
+    assert (res.passed, res.failed) == (2 * n_funcs + 3 * cases, 0)
+    assert calls == {"sector_basis": cases, "apply_G": 3 * n_funcs + 2 * cases}
 
 
 def test_verify_report_matches_the_pinned_text(verify_run):
