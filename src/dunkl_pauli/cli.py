@@ -125,26 +125,32 @@ def _write_text(path: str | None, text: str) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params, sign = args.params, args.sign
     eps1, eps2 = args.sector_pair
-    ells = [args.ell_value] if args.ell_value is not None else [
-        ell for ell in lowest_ells(eps1 * eps2, math.floor(args.lmax_value) + 1)
-        if ell <= args.lmax_value]
-    rows = []
-    for ell in ells:
-        lam = lambda_value(ell, eps1 * eps2, sign, params)
-        rh = rho(ell, eps1 * eps2, sign, params)
-        for n in range(args.nmax + 1):
-            for m_s in args.spins:
-                state = SectorState(eps1, eps2, n, ell, m_s, sign)
-                rows.append((n, ell, m_s, lam, rh,
-                             energy_over_omega_c(state, params)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    epsilon = eps1 * eps2
+
+    def levels(ell):
+        """The table rows of one ell: (n, ell, m_s, lam, rho, energy)."""
+        lam = lambda_value(ell, epsilon, sign, params)
+        rh = rho(ell, epsilon, sign, params)
+        rows = [(n, ell, m_s, lam, rh, energy_over_omega_c(
+                    SectorState(eps1, eps2, n, ell, m_s, sign), params))
+                for n in range(args.nmax + 1) for m_s in args.spins]
+        if not all(math.isfinite(x) for row in rows for x in row[3:]):
+            raise ValueError("the level table overflows a float at these "
+                             "options (nu1, nu2 or ell too large)")
+        return rows
+
+    if args.ell_value is not None:
+        ells = [args.ell_value]
+    else:
+        first = lowest_ells(epsilon, 1)[0]
+        count = math.floor(args.lmax_value - first) + 1
+        if count > 0:  # a table too large for a float overflows at its last ell
+            levels(first + count - 1)
+        ells = lowest_ells(epsilon, count)
+    rows = sorted(row for ell in ells for row in levels(ell))  # by (n, ell, m_s)
 
     nu1, nu2 = params.as_floats()
     et = eta(eps1, eps2, params)
-    emitted = [et] + [x for row in rows for x in row[3:]]
-    if not all(map(math.isfinite, emitted)):
-        raise ValueError("the level table overflows a float at these options "
-                         "(nu1, nu2 or ell too large)")
     lines = ["sector,nu1,nu2,n,ell,m_s,branch,lambda,rho,eta,energy_over_omega_c"]
     for n, ell, m_s, lam, rh, energy in rows:
         lines.append(",".join([

@@ -4,23 +4,25 @@ The radial equation carries a first-derivative term (1+2nu1+2nu2)/r d/dr from
 the deformed measure.  Substituting F(r) = r^(-(1+2nu1+2nu2)/2) u(r) removes
 it exactly (Liouville transformation), leaving the plain Schroedinger form
 
-    u'' + [2mE - V(r)] u = 0,
-    V(r) = (m w)^2 r^2/4 + K/r^2 + m w lam - m B mu_B g_s m_s (1 + nu1 eps1 + nu2 eps2),
+    u'' + [2E - V(r)] u = 0,
+    V(r) = r^2/4 + K/r^2 + lam - m_s (1 + nu1 eps1 + nu2 eps2),
     K    = centrifugal + (p^2 - 2p)/4,   p = 1 + 2nu1 + 2nu2,
 
-with centrifugal = lam^2 in the even sector and lam^2 - 4 nu1 nu2 in the odd
-one.  Near r = 0 the solutions go like r^(1/2 +/- kappa), kappa =
-sqrt(K + 1/4).  For kappa < 1 both are square integrable, so a Dirichlet wall
-near the origin would pick the regular one only up to O(r_min^(2 kappa)).
-There is no wall at the origin here.  The grid is uniform in t = ln r, and
-u = e^(t/2) w turns the equation into
+in units m = omega_c = 1 (hbar = 1; g_s = 2, so B mu_B g_s = omega_c): E is
+E/omega_c and r is in units 1/sqrt(m omega_c).  The centrifugal term is lam^2
+in the even sector and lam^2 - 4 nu1 nu2 in the odd one.  Near r = 0 the
+solutions go like r^(1/2 +/- kappa), kappa = sqrt(K + 1/4).  For kappa < 1
+both are square integrable, so a Dirichlet wall near the origin would pick the
+regular one only up to O(r_min^(2 kappa)).  There is no wall at the origin
+here.  The grid is uniform in t = ln r, and u = e^(t/2) w turns the equation
+into
 
-    -w'' + kappa^2 w + r^2 (V - K/r^2) w = 2mE r^2 w.
+    -w'' + kappa^2 w + r^2 (V - K/r^2) w = 2E r^2 w.
 
 The node below the first is a Frobenius ghost, w_0 = w_1 exp(-kappa h), which
 imposes the regular power r^(1/2 + kappa); kappa is taken from K, not from the
 closed forms.  Scaling by B^(-1/2), B = diag(r^2), gives a symmetric
-tridiagonal matrix whose lowest eigenvalues are 2mE for n = 0, 1, 2, ... with
+tridiagonal matrix whose lowest eigenvalues are 2E for n = 0, 1, 2, ... with
 an O(h^2) error, which Richardson extrapolation between the steps h and h/2
 removes.  Nothing here reuses the closed-form energy algebra, so agreement
 with it is a genuine cross-check.
@@ -28,7 +30,7 @@ with it is a genuine cross-check.
 The spin enters V only through the Zeeman term, a constant in r, so the two
 spins' spectra differ by that constant alone: validate_sector makes one
 solve per ell, at m_s = +1, and gives m_s = -1 the same spectrum shifted by
-the difference of the two Zeeman terms.
+half the difference of the two Zeeman terms.
 """
 
 from __future__ import annotations
@@ -47,22 +49,18 @@ from .spectrum import OscillatorScale, SectorState, energy_over_omega_c
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """One radial eigenproblem: sector, angular eigenvalue, spin, scales."""
+    """One radial eigenproblem: angular eigenvalue, sector, spin."""
 
     lam: float
-    ell: Fraction
     eps1: int
     eps2: int
     m_s: int
     params: WignerParams
-    scale: OscillatorScale
 
     @classmethod
-    def from_state(cls, state: SectorState, params: WignerParams,
-                   scale: OscillatorScale) -> "RadialProblem":
+    def from_state(cls, state: SectorState, params: WignerParams) -> RadialProblem:
         lam = lambda_value(state.ell, state.epsilon, state.branch, params)
-        return cls(lam, state.ell, state.eps1, state.eps2, state.m_s,
-                   params, scale)
+        return cls(lam, state.eps1, state.eps2, state.m_s, params)
 
     @property
     def centrifugal_coefficient(self) -> float:
@@ -77,14 +75,13 @@ class RadialProblem:
     @property
     def zeeman(self) -> float:
         """The Zeeman term that V subtracts, constant in r:
-        m B mu_B g_s m_s (1 + nu1 eps1 + nu2 eps2)."""
+        m_s (1 + nu1 eps1 + nu2 eps2)."""
         nu1, nu2 = self.params.as_floats()
-        return (self.scale.zeeman_prefactor * self.m_s
-                * (1.0 + nu1 * self.eps1 + nu2 * self.eps2))
+        return self.m_s * (1.0 + nu1 * self.eps1 + nu2 * self.eps2)
 
 
 # The grid: GRID_POINTS nodes uniform in t = ln r, strictly between R_MIN and
-# R_MAX natural lengths sqrt(2/(m w)).  Below R_MIN the regular solution is a
+# R_MAX natural lengths sqrt(2).  Below R_MIN the regular solution is a
 # pure power to ~R_MIN^2; beyond R_MAX it is below exp(-50).
 GRID_POINTS = 1200
 R_MIN = math.exp(-9.0)
@@ -94,17 +91,16 @@ R_MAX = 10.0
 def build_tridiagonal(problem: RadialProblem, n: int):
     """Symmetric tridiagonal discretization of -u'' + V u on n log-grid
     nodes between R_MIN and R_MAX, returned as (diagonal, off-diagonal)
-    arrays; eigenvalues approximate 2mE with an O(h^2) error."""
+    arrays; eigenvalues approximate 2E with an O(h^2) error."""
     nu1, nu2 = problem.params.as_floats()
-    m, w = problem.scale.mass, problem.scale.omega_c
     p = 1.0 + 2.0 * nu1 + 2.0 * nu2
     k_coeff = problem.centrifugal_coefficient + (p * p - 2.0 * p) / 4.0
     kappa = math.sqrt(k_coeff + 0.25)
-    natural = math.sqrt(2.0 / (m * w))
+    natural = math.sqrt(2.0)
     t_lo, t_hi = math.log(R_MIN * natural), math.log(R_MAX * natural)
     h = (t_hi - t_lo) / (n + 1)
     r = np.exp(t_lo + h * np.arange(1, n + 1))
-    v_rest = 0.25 * (m * w) ** 2 * r ** 2 + m * w * problem.lam - problem.zeeman
+    v_rest = 0.25 * r ** 2 + problem.lam - problem.zeeman
     a = np.full(n, 2.0 / h ** 2 + kappa ** 2)
     a[0] -= math.exp(-kappa * h) / h ** 2  # ghost node w_0 = w_1 exp(-kappa h)
     return a / r ** 2 + v_rest, -1.0 / (h ** 2 * r[:-1] * r[1:])
@@ -130,8 +126,7 @@ def oracle_energies(problem: RadialProblem, n_max: int):
     solves at GRID_POINTS and 2*GRID_POINTS + 1 nodes (step h and h/2)."""
     coarse, fine = (lowest_eigenvalues(build_tridiagonal(problem, n), n_max + 1)
                     for n in (GRID_POINTS, 2 * GRID_POINTS + 1))
-    mu = (4.0 * fine - coarse) / 3.0
-    return mu / (2.0 * problem.scale.mass * problem.scale.omega_c)
+    return (4.0 * fine - coarse) / 3.0 / 2.0  # extrapolated 2E, halved
 
 
 @dataclass(frozen=True)
@@ -142,12 +137,10 @@ class ComparisonRow:
     n: int
     m_s: int
     oracle: float
-    closed_form: float | None
+    closed_form: float
 
     @property
-    def deviation(self) -> float | None:
-        if self.closed_form is None:
-            return None
+    def deviation(self) -> float:
         return abs(self.oracle - self.closed_form)
 
 
@@ -163,50 +156,49 @@ class SectorReport:
 
     @property
     def worst(self) -> float:
-        devs = [r.deviation for r in self.rows if r.deviation is not None]
-        return max(devs) if devs else 0.0
+        return max((r.deviation for r in self.rows), default=0.0)
 
     @property
     def passed(self) -> bool:
         return self.worst <= self.tolerance
 
 
+# E/omega_c tolerance: about twice the oracle's worst miss over nu in (-1/2, 2]
+ORACLE_TOLERANCE = 1e-7
+
+
 def validate_sector(sector: tuple[int, int], params: WignerParams,
                     scale: OscillatorScale, ell_list, n_max: int,
                     config: None = None,
-                    tolerance: float = 1e-7) -> SectorReport:
+                    tolerance: float = ORACLE_TOLERANCE) -> SectorReport:
     """Compare oracle eigenvalues (oracle_energies) with the closed forms for
     every ell in ell_list, n <= n_max and both spins.
 
+    Both are E/omega_c, which does not depend on scale; the slot is kept,
+    like config, so positional callers still work.
+
     One oracle solve per ell, at m_s = +1, serves both spins: the spin enters
     the radial equation only through the Zeeman term, a constant in r, so the
-    m_s = -1 energies are the m_s = +1 ones shifted by the difference of the
-    two Zeeman terms over 2 m omega_c.  Uses the positive lam branch.
+    m_s = -1 energies are the m_s = +1 ones shifted by half the difference of
+    the two Zeeman terms.  Uses the positive lam branch.
 
-    The default tolerance, 1e-7 in omega_c units, is about twice the
-    oracle's worst error over nu in (-1/2, 2].  A mismatch above tolerance
-    is reported in the returned object, never raised.  With g_s != 2 the
-    closed forms do not apply and only oracle values are tabulated.
+    A mismatch above tolerance is reported in the returned object, never
+    raised.
     """
     # config: the retired grid setting, kept so positional callers still work
     if config is not None:
         raise TypeError("validate_sector takes no grid config; pass None")
     eps1, eps2 = sector
-    compare = scale.g_s == 2.0
     report = SectorReport(eps1, eps2, params, tolerance)
     for ell in ell_list:
         ell = Fraction(ell)
-        up = RadialProblem.from_state(SectorState(eps1, eps2, 0, ell, 1),
-                                      params, scale)
+        up = RadialProblem.from_state(SectorState(eps1, eps2, 0, ell, 1), params)
         energies = oracle_energies(up, n_max)
         for m_s in (1, -1):
-            shift = up.zeeman - replace(up, m_s=m_s).zeeman
-            oracle = energies + shift / (2.0 * scale.mass * scale.omega_c)
+            oracle = energies + (up.zeeman - replace(up, m_s=m_s).zeeman) / 2.0
             for n in range(n_max + 1):
-                closed = None
-                if compare:
-                    state = SectorState(eps1, eps2, n, ell, m_s)
-                    closed = energy_over_omega_c(state, params)
+                closed = energy_over_omega_c(SectorState(eps1, eps2, n, ell, m_s),
+                                             params)
                 report.rows.append(ComparisonRow(eps1, eps2, ell, n, m_s,
                                                  float(oracle[n]), closed))
     return report

@@ -25,25 +25,17 @@ from .angular import _validate_sector_ell, lambda_value
 
 @dataclass(frozen=True)
 class OscillatorScale:
-    """Energy/length scales: cyclotron frequency, mass, spin g-factor.
+    """The cyclotron frequency omega_c, the energy unit of `energy`.
 
-    hbar = 1 throughout.  g_s defaults to exactly 2, the value for which the
-    Zeeman coupling B*mu_B*g_s equals omega_c and the closed-form spectra are
-    self-consistent; pass the physical 2.0023 only for oracle-style runs.
+    hbar = 1 and g_s = 2 throughout: the closed-form spectra hold only at
+    g_s = 2, where the Zeeman coupling B*mu_B*g_s equals omega_c.
     """
 
     omega_c: float = 1.0
-    mass: float = 1.0
-    g_s: float = 2.0
 
     def __post_init__(self):
-        if self.omega_c <= 0 or self.mass <= 0:
-            raise ValueError("omega_c and mass must be positive")
-
-    @property
-    def zeeman_prefactor(self) -> float:
-        """m * B * mu_B * g_s in units with hbar = 1: (g_s/2) * m * omega_c."""
-        return 0.5 * self.g_s * self.mass * self.omega_c
+        if self.omega_c <= 0:
+            raise ValueError("omega_c must be positive")
 
 
 @dataclass(frozen=True)
@@ -185,8 +177,8 @@ def hyp1f1(a: float, b: float, x: float) -> float:
 A_TOLERANCE = 1e-9
 
 
-def _kummer_b(state: SectorState, params: WignerParams) -> float:
-    """b = 1 + kappa of the radial factor M(-n, b, x), kappa = sqrt(D^2 + lam^2).
+def _radial_kappa(state: SectorState, params: WignerParams) -> float:
+    """kappa = sqrt(D^2 + lam^2) of the radial factor M(-n, 1 + kappa, x).
 
     The hypergeometric first argument a reduces to -n for the quantized
     energy.  A computed a more than A_TOLERANCE from -n raises
@@ -200,37 +192,38 @@ def _kummer_b(state: SectorState, params: WignerParams) -> float:
     if abs(a + state.n) > A_TOLERANCE:
         raise ArithmeticError(
             f"hypergeometric parameter a = {a!r} is not -n = {-state.n} for {state}")
-    return 1.0 + root
+    return root
 
 
-def radial_wavefunction(state: SectorState, scale: OscillatorScale,
-                        params: WignerParams, r: float, norm: float = 1.0) -> float:
-    """Radial factor norm * exp(-x/2) r^p M(-n, b, x) with x = m w r^2/2.
+def radial_wavefunction(state: SectorState, params: WignerParams, r: float,
+                        norm: float = 1.0) -> float:
+    """Radial factor norm * exp(-x/2) r^p M(-n, b, x) with x = r^2/2, r in
+    units 1/sqrt(m omega_c).
 
     p = kappa - (nu1 + nu2) is the regular Frobenius power at r = 0 and
-    b = 1 + kappa (see _kummer_b); M(-n, b, x) is the Laguerre polynomial
+    b = 1 + kappa (see _radial_kappa); M(-n, b, x) is the Laguerre polynomial
     n!/(b)_n L_n^(b-1)(x) (DLMF 13.6).  On published ells the radical
-    identity makes p = 2 ell; at ell = 0 the two can differ.
+    identity makes p = 2 ell; at ell = 0 the two can differ.  There kappa is
+    |nu1 + nu2| to the bit, so p is exactly 0 when nu1 + nu2 >= 0.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    b = _kummer_b(state, params)
-    mw = scale.mass * scale.omega_c
-    power = b - 1.0 - float(params.nu1 + params.nu2)
-    return (norm * math.exp(-0.25 * mw * r * r) * r ** power
-            * hyp1f1(float(-state.n), b, 0.5 * mw * r * r))
+    kappa = _radial_kappa(state, params)
+    power = kappa - float(params.nu1 + params.nu2)
+    return (norm * math.exp(-0.25 * r * r) * r ** power
+            * hyp1f1(float(-state.n), 1.0 + kappa, 0.5 * r * r))
 
 
-def radial_norm_constant(state: SectorState, scale: OscillatorScale,
-                         params: WignerParams) -> float:
-    """Normalization constant 1/sqrt(T) against the measure r^(1+2nu1+2nu2) dr.
+def radial_norm_constant(state: SectorState, params: WignerParams) -> float:
+    """Normalization constant 1/sqrt(T) against the measure r^(1+2nu1+2nu2) dr,
+    r in units 1/sqrt(m omega_c).
 
-    T = 1/2 (2/m w)^b n! Gamma(b)^2 / Gamma(b + n) is the norm integral of
+    T = 1/2 2^b n! Gamma(b)^2 / Gamma(b + n) is the norm integral of
     radial_wavefunction: Laguerre orthogonality (DLMF 18.3) after the
-    substitution x = m w r^2/2 and M(-n, b, x) = n!/(b)_n L_n^(b-1)(x).
+    substitution x = r^2/2 and M(-n, b, x) = n!/(b)_n L_n^(b-1)(x).
     """
-    b = _kummer_b(state, params)
+    b = 1.0 + _radial_kappa(state, params)
     n = state.n
-    log_t = (b * math.log(2.0 / (scale.mass * scale.omega_c)) - math.log(2.0)
+    log_t = (b * math.log(2.0) - math.log(2.0)
              + math.lgamma(n + 1) + 2.0 * math.lgamma(b) - math.lgamma(b + n))
     return math.exp(-0.5 * log_t)

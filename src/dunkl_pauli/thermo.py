@@ -72,28 +72,18 @@ def partition(inputs: ThermoInputs) -> float:
     return _value("Z", inputs)
 
 
-def direct_sum_partition(x: float, rho: float, eta: float,
-                         n_max: int | None = None,
-                         tail_rel: float = 1e-14) -> float:
-    """Oracle Z: literal sum of exp(-x*E_n) over n <= n_max and m_s = +/-1.
-
-    n_max defaults to the smallest value whose geometric tail is below
-    tail_rel relative to the sum; an explicit n_max that misses that bound is
-    an error.
+def direct_sum_partition(x: float, rho: float, eta: float) -> float:
+    """Oracle Z: literal sum of exp(-x*E_n) over n <= n_max and m_s = +/-1,
+    n_max the smallest value whose geometric tail is below 1e-14 relative to
+    the sum.  ValueError for x <= 0, and where that n_max is impractical.
     """
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
     # tail over n > N, relative to Z:  <= exp(-x(N+1)) / (1 - exp(-x))
-    need = math.ceil((-math.log(tail_rel) - math.log(-math.expm1(-x))) / x)
-    need = max(need, 1)
-    if n_max is None:
-        if need > 10_000_000:
-            raise ValueError("requested tail bound needs an impractical n_max; "
-                             "use the closed form for very small x")
-        n_max = need
-    elif n_max < need:
-        raise ValueError(f"n_max={n_max} insufficient for tail bound "
-                         f"{tail_rel} (need {need})")
+    n_max = max(math.ceil((-math.log(1e-14) - math.log(-math.expm1(-x))) / x), 1)
+    if n_max > 10_000_000:
+        raise ValueError("the 1e-14 tail bound needs an impractical n_max; "
+                         "use the closed form for very small x")
     total = 0.0
     for n in range(n_max + 1):
         for m_s in (-1, 1):

@@ -220,25 +220,23 @@ def run_spectrum_suite() -> SuiteResult:
     return res
 
 
-def run_oracle_suite(n_max: int = 2, tolerance: float = 1e-7) -> SuiteResult:
+def run_oracle_suite() -> SuiteResult:
     """Finite-difference eigenvalues (radial_oracle's Richardson-extrapolated
     log grid) vs closed forms over the standard grid: 4 sectors x 4 nu pairs
-    x first two ells x n <= n_max x both spins, each within tolerance in
+    x first two ells x n <= 2 x both spins, each within ORACLE_TOLERANCE in
     omega_c units."""
     # imported here so that the exact suites (verify --skip-oracle) run
     # without scipy
-    from .radial_oracle import validate_sector
+    from .radial_oracle import ORACLE_TOLERANCE, validate_sector
     t0 = time.monotonic()
     res = SuiteResult("radial oracle (finite-difference cross-check)")
-    scale = OscillatorScale()
     for sector in SECTORS:
         ells = lowest_ells(sector[0] * sector[1], 2)
         for nu in ORACLE_NUS:
             params = WignerParams(*nu)
-            report = validate_sector(sector, params, scale, ells, n_max,
-                                     tolerance=tolerance)
+            report = validate_sector(sector, params, OscillatorScale(), ells, 2)
             for row in report.rows:
-                res.check(row.deviation is not None and row.deviation <= tolerance,
+                res.check(row.deviation <= ORACLE_TOLERANCE,
                           lambda: f"oracle deviation {row.deviation:g} at sector={sector}, "
                           f"nu={params}, ell={row.ell}, n={row.n}, m_s={row.m_s}")
     res.seconds = time.monotonic() - t0

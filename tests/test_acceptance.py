@@ -85,7 +85,7 @@ def test_criterion_03_angular_eigenvalues():
 
 def test_criterion_04_spectrum_oracle_cross_validation():
     t0 = time.monotonic()
-    suite = verify_mod.run_oracle_suite(n_max=2, tolerance=1e-7)
+    suite = verify_mod.run_oracle_suite()
     elapsed = time.monotonic() - t0
     total = suite.passed + suite.failed
     ok = suite.ok and total == 192 and elapsed < 300.0

@@ -310,6 +310,8 @@ _FIGURE = ("figure", "--figure", "2a")
     ("figure", "--figure", "2ab"),
     ("figure", "--figure", " "),
     ("spectrum", "--nu1", "1e400"),
+    ("spectrum", "--lmax", "1e400"),
+    ("spectrum", "--lmax", "1e200"),
     (*_THERMO, "--ell", "1e200"),
     (*_FIGURE, "--ell", "1e200"),
     ("spectrum", "--nu1", "1e300"),

@@ -54,14 +54,14 @@ def test_full_line_oscillator_ground_state():
 
 def test_centrifugal_coefficient_by_sector():
     # even sector: lam^2; odd sector: lam^2 - 4 nu1 nu2
-    even = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44, SCALE)
+    even = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44)
     assert even.centrifugal_coefficient == pytest.approx(even.lam ** 2)
-    odd = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), 1), NU44, SCALE)
+    odd = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), 1), NU44)
     assert odd.centrifugal_coefficient == pytest.approx(odd.lam ** 2 - 4 * 0.16)
 
 
 def test_matrix_is_symmetric_tridiagonal():
-    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44, SCALE)
+    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44)
     diag, off = build_tridiagonal(problem, 600)
     assert diag.shape == (600,) and off.shape == (599,)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -71,7 +71,7 @@ def test_matrix_is_symmetric_tridiagonal():
 def test_undeformed_sector_matches_textbook_ladder():
     # nu = 0, sector (+,+) is the textbook 2D oscillator with angular momentum
     # 2*ell plus the Zeeman shift; compared against the closed form at nu = 0
-    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU0, SCALE)
+    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU0)
     es = oracle_energies(problem, 2)
     for n, e in enumerate(es):
         closed = energy_over_omega_c(SectorState(1, 1, n, 1, 1), NU0)
@@ -79,8 +79,7 @@ def test_undeformed_sector_matches_textbook_ladder():
 
 
 def test_eigenvalues_increase_with_n():
-    problem = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), -1),
-                                       NU44, SCALE)
+    problem = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), -1), NU44)
     es = oracle_energies(problem, 4)
     assert all(b > a for a, b in zip(es, es[1:]))
 
@@ -89,8 +88,8 @@ def test_second_order_richardson_convergence():
     # the raw log grid is second order: halving h (n -> 2n + 1 nodes, same
     # ends) quarters the error, and the extrapolation beats both solves
     state = SectorState(1, -1, 0, F(1, 2), 1)
-    problem = RadialProblem.from_state(state, NU44, SCALE)
-    exact = 2.0 * energy_over_omega_c(state, NU44)  # 2mE at m = omega_c = 1
+    problem = RadialProblem.from_state(state, NU44)
+    exact = 2.0 * energy_over_omega_c(state, NU44)  # 2E in units m = omega_c = 1
     sizes = (GRID_POINTS, 2 * GRID_POINTS + 1, 4 * GRID_POINTS + 3)
     raw = [lowest_eigenvalues(build_tridiagonal(problem, n), 1)[0]
            for n in sizes]
@@ -140,17 +139,25 @@ def test_spin_down_rows_match_an_independent_solve(nu):
     # the m_s = -1 rows are the shifted m_s = +1 solve; a solve of the matrix
     # with the m_s = -1 Zeeman term on its diagonal must give the same levels
     params = WignerParams(*nu)
-    for scale in (SCALE, OscillatorScale(g_s=2.0023)):
-        for sector in SECTORS:
-            ells = lowest_ells(sector[0] * sector[1], 2)
-            report = validate_sector(sector, params, scale, ells, 2)
-            for ell in ells:
-                state = SectorState(*sector, 0, ell, -1)
-                direct = oracle_energies(
-                    RadialProblem.from_state(state, params, scale), 2)
-                shifted = [r.oracle for r in report.rows
-                           if r.ell == ell and r.m_s == -1]
-                assert shifted == pytest.approx(list(direct), abs=1e-11, rel=0)
+    for sector in SECTORS:
+        ells = lowest_ells(sector[0] * sector[1], 2)
+        report = validate_sector(sector, params, SCALE, ells, 2)
+        for ell in ells:
+            state = SectorState(*sector, 0, ell, -1)
+            direct = oracle_energies(RadialProblem.from_state(state, params), 2)
+            shifted = [r.oracle for r in report.rows
+                       if r.ell == ell and r.m_s == -1]
+            assert shifted == pytest.approx(list(direct), abs=1e-11, rel=0)
+
+
+def test_validate_sector_rows_do_not_depend_on_the_scale():
+    # the rows are E/omega_c: the scale slot only keeps positional callers
+    for sector in SECTORS:
+        ells = lowest_ells(sector[0] * sector[1], 2)
+        rows = validate_sector(sector, NU44, SCALE, ells, 2).rows
+        assert validate_sector(sector, NU44, OscillatorScale(omega_c=2.5),
+                               ells, 2).rows == rows
+        assert all(type(row.closed_form) is float for row in rows)
 
 
 def test_validate_sector_report():
@@ -171,18 +178,9 @@ def test_validate_sector_rejects_a_grid_config():
         validate_sector((1, 1), NU0, SCALE, [1], 0, object())
 
 
-def test_validate_sector_with_physical_g_factor_skips_closed_form():
-    scale = OscillatorScale(g_s=2.0023)
-    report = validate_sector((1, 1), NU0, scale, [1], 0)
-    assert all(r.closed_form is None for r in report.rows)
-    assert report.passed  # vacuous: nothing to compare
-    assert report.worst == 0.0
-
-
 def test_comparison_row_deviation():
     row = ComparisonRow(1, 1, F(1), 0, 1, 2.0000001, 2.0)
     assert row.deviation == pytest.approx(1e-7)
-    assert ComparisonRow(1, 1, F(1), 0, 1, 2.0, None).deviation is None
 
 
 def test_liouville_transform_constant_symbolically():

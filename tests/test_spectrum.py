@@ -204,26 +204,31 @@ def test_hyp1f1_rejects_non_terminating_parameters():
 
 # ---------------------------------------------------------------- wavefunction
 
-SCALE = OscillatorScale()
-
-
 def test_wavefunction_at_origin():
-    state = SectorState(1, 1, 0, 0, 1)  # constant angular mode, r^0 = 1
-    assert radial_wavefunction(state, SCALE, NU0, 0.0) == 1.0
+    # the ell = 0 mode with nu1 + nu2 >= 0 has Frobenius power exactly 0, so
+    # its radial factor at r = 0 is the norm: r^0 = 1 and M(-n, b, 0) = 1
+    for nu in ((0, 0), (F(1, 10), F(1, 5)), (F(3, 10), 0), (F(7, 5), F(21, 50)),
+               (F(11, 10), F(4, 25))):
+        params = WignerParams(*nu)
+        for eps in (1, -1):
+            for n in range(3):
+                state = SectorState(eps, eps, n, 0, 1)
+                assert radial_wavefunction(state, params, 0.0) == 1.0, state
+                assert radial_wavefunction(state, params, 0.0, norm=2.5) == 2.5
 
 
 def test_wavefunction_decays():
     state = SectorState(1, 1, 1, 1, 1)
-    assert abs(radial_wavefunction(state, SCALE, NU44, 12.0)) < 1e-12
+    assert abs(radial_wavefunction(state, NU44, 12.0)) < 1e-12
     with pytest.raises(ValueError):
-        radial_wavefunction(state, SCALE, NU44, -0.5)
+        radial_wavefunction(state, NU44, -0.5)
 
 
 def test_wavefunction_node_count():
     # n = 1 state has exactly one radial node in (0, inf)
     state = SectorState(1, -1, 1, F(1, 2), -1)
     grid = np.linspace(1e-3, 10.0, 4000)
-    vals = [radial_wavefunction(state, SCALE, NU4m4, r) for r in grid]
+    vals = [radial_wavefunction(state, NU4m4, r) for r in grid]
     signs = np.sign(vals)
     flips = int(np.sum(signs[1:] * signs[:-1] < 0))
     assert flips == 1
@@ -247,10 +252,10 @@ def test_wavefunction_solves_radial_ode(eps1, eps2, ell, n, m_s, params):
     lam = lambda_value(state.ell, state.epsilon, state.branch, params)
     centrifugal = lam * lam - (4 * nu1 * nu2 if state.epsilon == -1 else 0.0)
     e_over_w = energy_over_omega_c(state, params)
-    zeeman = m_s * (1 + nu1 * eps1 + nu2 * eps2)  # times m*omega, with g_s = 2
+    zeeman = m_s * (1 + nu1 * eps1 + nu2 * eps2)  # in units m = omega_c = 1
 
     def f(r):
-        return radial_wavefunction(state, SCALE, params, r)
+        return radial_wavefunction(state, params, r)
 
     h = 1e-3
     worst = 0.0
@@ -281,19 +286,18 @@ def test_normalization_quadrature():
              ((1, 1), F(0), WignerParams(F(-2, 5), F(-1, 5))),
              ((1, -1), F(1, 2), NU4m4),
              ((-1, 1), F(3, 2), WignerParams(F(-2, 5), F(1, 5)))]
-    for scale in (SCALE, OscillatorScale(omega_c=1.7, mass=0.6)):
-        for (eps1, eps2), ell, params in cases:
-            weight = 1 + 2 * float(params.nu1 + params.nu2)
-            for n in range(4):
-                state = SectorState(eps1, eps2, n, ell, 1)
-                c = radial_norm_constant(state, scale, params)
+    for (eps1, eps2), ell, params in cases:
+        weight = 1 + 2 * float(params.nu1 + params.nu2)
+        for n in range(4):
+            state = SectorState(eps1, eps2, n, ell, 1)
+            c = radial_norm_constant(state, params)
 
-                def integrand(r):
-                    v = radial_wavefunction(state, scale, params, r, norm=c)
-                    return v * v * r ** weight
+            def integrand(r):
+                v = radial_wavefunction(state, params, r, norm=c)
+                return v * v * r ** weight
 
-                total, _ = quad(integrand, 0, 25, limit=300)
-                assert total == pytest.approx(1.0, rel=1e-9), (state, scale)
+            total, _ = quad(integrand, 0, 25, limit=300)
+            assert total == pytest.approx(1.0, rel=1e-9), state
 
 
 def test_wavefunction_terminates_when_computed_a_is_an_ulp_off():
@@ -302,12 +306,12 @@ def test_wavefunction_terminates_when_computed_a_is_an_ulp_off():
     state = SectorState(-1, 1, 0, F(1, 2), -1)
     params = WignerParams(F(-2, 5), F(-1, 5))
     radii = (1.0, 5.0, 10.0, 20.0, 40.0)
-    vals = [radial_wavefunction(state, SCALE, params, r) for r in radii]
+    vals = [radial_wavefunction(state, params, r) for r in radii]
     assert all(math.isfinite(v) and v > 0 for v in vals)
     assert vals[1:] == sorted(vals[1:], reverse=True)
     for r, v in zip(radii, vals):  # n = 0: exp(-r^2/4) r^(2 ell), ell = 1/2
         assert v == pytest.approx(math.exp(-0.25 * r * r) * r, rel=1e-13)
-    c = radial_norm_constant(state, SCALE, params)
+    c = radial_norm_constant(state, params)
     assert math.isfinite(c) and c > 0
 
 
@@ -316,6 +320,6 @@ def test_wavefunction_rejects_unquantized_hypergeometric_parameter(monkeypatch):
     monkeypatch.setattr(spectrum, "energy_over_omega_c",
                         lambda st, p: exact(st, p) + 1e-6)
     with pytest.raises(ArithmeticError):
-        radial_wavefunction(SectorState(1, 1, 1, 1, 1), SCALE, NU44, 1.0)
+        radial_wavefunction(SectorState(1, 1, 1, 1, 1), NU44, 1.0)
     with pytest.raises(ArithmeticError):
-        radial_norm_constant(SectorState(1, 1, 1, 1, 1), SCALE, NU44)
+        radial_norm_constant(SectorState(1, 1, 1, 1, 1), NU44)

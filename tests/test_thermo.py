@@ -78,12 +78,11 @@ def test_direct_sum_spin_factor_at_eta_zero():
 
 
 def test_direct_sum_nmax_validation():
-    with pytest.raises(ValueError):
-        direct_sum_partition(2.0, 0.0, 0.5, n_max=3)
-    # self-chosen n_max is fine
     direct_sum_partition(2.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         direct_sum_partition(-1.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="impractical"):  # n_max ~ 5e10
+        direct_sum_partition(1e-9, 0.0, 0.5)
 
 
 def test_helmholtz_is_minus_log_z_over_x():
