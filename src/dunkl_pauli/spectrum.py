@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import WignerParams
-from .angular import _validate_sector_ell, lambda_value
+from .angular import _radicand_terms, _validate_sector_ell, lambda_value
 
 
 @dataclass(frozen=True)
@@ -173,45 +173,38 @@ def hyp1f1(a: float, b: float, x: float) -> float:
     return m
 
 
-# largest accepted distance of the computed hypergeometric a from -n
-A_TOLERANCE = 1e-9
-
-
-def _radial_kappa(state: SectorState, params: WignerParams) -> float:
-    """kappa = sqrt(D^2 + lam^2) of the radial factor M(-n, 1 + kappa, x).
-
-    The hypergeometric first argument a reduces to -n for the quantized
-    energy.  A computed a more than A_TOLERANCE from -n raises
-    ArithmeticError, which cross-checks energy and wavefunction; otherwise
-    -n is taken from the state.
+def _radial_parameters(state: SectorState,
+                       params: WignerParams) -> tuple[float, float]:
+    """The Frobenius power p = K - (nu1 + nu2) and the Kummer b = 1 + K of the
+    radial factor, K = |2 ell + nu1 + nu2|, each one correctly rounded int/int
+    division (p = 2 ell on published ells).  K is kappa = sqrt(D^2 + lam^2) by
+    the radical identity, checked here in integers: ArithmeticError if not.
     """
-    lam = lambda_value(state.ell, state.epsilon, state.branch, params)
-    root = _kappa(lam, state.epsilon, params)
-    e_over_w = energy_over_omega_c(state, params)
-    a = 0.5 * (1.0 + lam + root) - state.m_s * eta(state.eps1, state.eps2, params) - e_over_w
-    if abs(a + state.n) > A_TOLERANCE:
-        raise ArithmeticError(
-            f"hypergeometric parameter a = {a!r} is not -n = {-state.n} for {state}")
-    return root
+    num, den = _radicand_terms(state.ell, state.epsilon, params)
+    (a, b), (c, d) = params.nu1.as_integer_ratio(), params.nu2.as_integer_ratio()
+    m, q = state.ell.numerator, state.ell.denominator
+    s = a * d + c * b  # b*d*(nu1 + nu2)
+    dn = s if state.epsilon == 1 else a * d - c * b  # b*d*D
+    kn = abs(2 * m * b * d + q * s)  # q*b*d*K
+    if (dn * dn * den + num * (b * d) ** 2) * q * q != kn * kn * den:
+        raise ArithmeticError(f"D^2 + lam^2 != (2 ell + nu1 + nu2)^2 for {state}")
+    qbd = q * b * d
+    return (kn - q * s) / qbd, (qbd + kn) / qbd
 
 
-def radial_wavefunction(state: SectorState, params: WignerParams, r: float,
-                        norm: float = 1.0) -> float:
-    """Radial factor norm * exp(-x/2) r^p M(-n, b, x) with x = r^2/2, r in
-    units 1/sqrt(m omega_c).
+def radial_wavefunction(state: SectorState, params: WignerParams, r: float) -> float:
+    """Radial factor exp(-x/2) r^p M(-n, b, x) with x = r^2/2, r in units
+    1/sqrt(m omega_c); multiply by radial_norm_constant to normalize.
 
-    p = kappa - (nu1 + nu2) is the regular Frobenius power at r = 0 and
-    b = 1 + kappa (see _radial_kappa); M(-n, b, x) is the Laguerre polynomial
-    n!/(b)_n L_n^(b-1)(x) (DLMF 13.6).  On published ells the radical
-    identity makes p = 2 ell; at ell = 0 the two can differ.  There kappa is
-    |nu1 + nu2| to the bit, so p is exactly 0 when nu1 + nu2 >= 0.
+    p is the regular Frobenius power at r = 0 and b = 1 + K (see
+    _radial_parameters); M(-n, b, x) is the Laguerre polynomial
+    n!/(b)_n L_n^(b-1)(x) (DLMF 13.6).
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    kappa = _radial_kappa(state, params)
-    power = kappa - float(params.nu1 + params.nu2)
-    return (norm * math.exp(-0.25 * r * r) * r ** power
-            * hyp1f1(float(-state.n), 1.0 + kappa, 0.5 * r * r))
+    power, b = _radial_parameters(state, params)
+    return (math.exp(-0.25 * r * r) * r ** power
+            * hyp1f1(float(-state.n), b, 0.5 * r * r))
 
 
 def radial_norm_constant(state: SectorState, params: WignerParams) -> float:
@@ -222,7 +215,7 @@ def radial_norm_constant(state: SectorState, params: WignerParams) -> float:
     radial_wavefunction: Laguerre orthogonality (DLMF 18.3) after the
     substitution x = r^2/2 and M(-n, b, x) = n!/(b)_n L_n^(b-1)(x).
     """
-    b = 1.0 + _radial_kappa(state, params)
+    b = _radial_parameters(state, params)[1]
     n = state.n
     log_t = (b * math.log(2.0) - math.log(2.0)
              + math.lgamma(n + 1) + 2.0 * math.lgamma(b) - math.lgamma(b + n))

@@ -27,7 +27,6 @@ x in [1e-3, 700], raises ValueError.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,13 +226,13 @@ def _pow10_terms(num, y):
     return (), num.exp(num.const(y) * num.ln10())[0]
 
 
-@functools.lru_cache(maxsize=16)
 def log_grid(t_min: float, t_max: float, steps: int) -> tuple[float, ...]:
     """``steps`` log-spaced temperatures from t_min to t_max, both kept exact.
 
     The exponents follow numpy's ``geomspace``: y_i = i*step + lo with
     step = (hi - lo)/(steps - 1), where lo and hi are the correctly rounded
     log10 of the endpoints; each interior point is 10**y_i correctly rounded.
+    Raises ValueError if two rounded points coincide (too many steps).
     """
     lo, hi = (settle(lambda num, t: ((), num.log10(num.const(t))), t)
               for t in (t_min, t_max))
@@ -243,4 +242,7 @@ def log_grid(t_min: float, t_max: float, steps: int) -> tuple[float, ...]:
     taus[~whole] = round_curve(_pow10_terms, y[~whole])
     taus[whole] = [float(Fraction(10) ** int(k)) for k in y[whole]]
     taus[0], taus[-1] = t_min, t_max
+    if not np.all(taus[1:] > taus[:-1]):
+        raise ValueError(f"the temperature grid of {steps} points on "
+                         f"[{t_min!r}, {t_max!r}] repeats a rounded point")
     return tuple(taus.tolist())

@@ -305,6 +305,8 @@ _FIGURE = ("figure", "--figure", "2a")
     (*_FIGURE, "--tmax", "inf"),
     (*_THERMO, "--steps", "1"),
     (*_FIGURE, "--steps", "1"),
+    (*_THERMO, "--tmin", "0.01", "--tmax", "0.0100000000000001", "--steps", "50"),
+    (*_FIGURE, "--tmin", "0.01", "--tmax", "0.0100000000000001", "--steps", "50"),
     ("figure", "--figure", "9a"),
     ("figure", "--figure", "2x"),
     ("figure", "--figure", "2ab"),
@@ -325,6 +327,16 @@ def test_usage_errors_are_reported_before_any_output(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [_THERMO, _FIGURE], ids=["thermo", "figure"])
+def test_a_grid_whose_rounded_points_repeat_is_named(capsys, argv):
+    # 50 points on [0.01, 0.01 + 1e-16] round onto a handful of doubles: the
+    # grid is at fault, before any ladder is evaluated
+    code, _, err = run(capsys, *argv, "--tmin", "0.01",
+                       "--tmax", "0.0100000000000001", "--steps", "50")
+    assert code == 2
+    assert "temperature grid" in err and "repeats" in err and "ladder" not in err
 
 
 @pytest.mark.parametrize("argv", [_THERMO, _FIGURE], ids=["thermo", "figure"])

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -206,7 +207,7 @@ def test_hyp1f1_rejects_non_terminating_parameters():
 
 def test_wavefunction_at_origin():
     # the ell = 0 mode with nu1 + nu2 >= 0 has Frobenius power exactly 0, so
-    # its radial factor at r = 0 is the norm: r^0 = 1 and M(-n, b, 0) = 1
+    # its radial factor at r = 0 is 1: r^0 = 1 and M(-n, b, 0) = 1
     for nu in ((0, 0), (F(1, 10), F(1, 5)), (F(3, 10), 0), (F(7, 5), F(21, 50)),
                (F(11, 10), F(4, 25))):
         params = WignerParams(*nu)
@@ -214,7 +215,6 @@ def test_wavefunction_at_origin():
             for n in range(3):
                 state = SectorState(eps, eps, n, 0, 1)
                 assert radial_wavefunction(state, params, 0.0) == 1.0, state
-                assert radial_wavefunction(state, params, 0.0, norm=2.5) == 2.5
 
 
 def test_wavefunction_decays():
@@ -293,7 +293,7 @@ def test_normalization_quadrature():
             c = radial_norm_constant(state, params)
 
             def integrand(r):
-                v = radial_wavefunction(state, params, r, norm=c)
+                v = c * radial_wavefunction(state, params, r)
                 return v * v * r ** weight
 
             total, _ = quad(integrand, 0, 25, limit=300)
@@ -301,8 +301,9 @@ def test_normalization_quadrature():
 
 
 def test_wavefunction_terminates_when_computed_a_is_an_ulp_off():
-    # the computed hypergeometric a is -2.2e-16 here instead of -n = 0; the
-    # radial factor must still be the n = 0 polynomial times the Gaussian
+    # the energy's hypergeometric a, computed in floats, is -2.2e-16 here
+    # instead of -n = 0; the radial factor takes -n from the state, so it is
+    # the n = 0 polynomial times the Gaussian
     state = SectorState(-1, 1, 0, F(1, 2), -1)
     params = WignerParams(F(-2, 5), F(-1, 5))
     radii = (1.0, 5.0, 10.0, 20.0, 40.0)
@@ -315,11 +316,60 @@ def test_wavefunction_terminates_when_computed_a_is_an_ulp_off():
     assert math.isfinite(c) and c > 0
 
 
-def test_wavefunction_rejects_unquantized_hypergeometric_parameter(monkeypatch):
-    exact = spectrum.energy_over_omega_c
-    monkeypatch.setattr(spectrum, "energy_over_omega_c",
-                        lambda st, p: exact(st, p) + 1e-6)
+def test_radial_parameters_are_the_rounded_exact_values():
+    # p = K - (nu1 + nu2) and b = 1 + K with K = |2 ell + nu1 + nu2|, each the
+    # correctly rounded double of its rational value
+    rng = random.Random(14)
+    nus = [(F(2, 5), F(-2, 5)), (F(-2, 5), F(2, 5)), (F(-2, 5), F(-1, 5)),
+           (F(-1, 2) + F(1, 10**9), F(-1, 2) + F(1, 10**12))]
+    for den in (7, 100, 10**6 + 3, 2**61 - 1):
+        nus += [(F(rng.randrange(-den // 2 + 1, 3 * den), den),
+                 F(rng.randrange(-den // 2 + 1, 3 * den), den)) for _ in range(6)]
+    for nu in nus:
+        params = WignerParams(*nu)
+        for eps1, eps2 in SECTORS:
+            first = F(0) if eps1 == eps2 else F(1, 2)
+            ells = [first, first + 1, first + 2, first + rng.randrange(10**6)]
+            for ell in ells:
+                n = rng.randrange(4)
+                state = SectorState(eps1, eps2, n, ell, 1)
+                k = abs(2 * ell + params.nu1 + params.nu2)
+                p, b = k - params.nu1 - params.nu2, 1 + k
+                assert spectrum._radial_parameters(state, params) == (float(p), float(b)), \
+                    (state, nu)
+                if ell < 100:  # r^p overflows a float at r = 2 far beyond
+                    assert radial_wavefunction(state, params, 2.0) == (
+                        math.exp(-1.0) * 2.0 ** float(p) * hyp1f1(-n, float(b), 2.0))
+
+
+def test_radial_factor_rejects_a_broken_radical_identity(monkeypatch):
+    # D^2 + lam^2 = (2 ell + nu1 + nu2)^2 is checked in integers; a radicand
+    # one unit off breaks it
+    exact = spectrum._radicand_terms
+    monkeypatch.setattr(spectrum, "_radicand_terms",
+                        lambda ell, eps, params: (exact(ell, eps, params)[0] + 1,
+                                                  exact(ell, eps, params)[1]))
     with pytest.raises(ArithmeticError):
         radial_wavefunction(SectorState(1, 1, 1, 1, 1), NU44, 1.0)
     with pytest.raises(ArithmeticError):
         radial_norm_constant(SectorState(1, 1, 1, 1, 1), NU44)
+
+
+def test_radial_values_near_kappa_rounding_match_mpmath():
+    # at nu = (+-2/5, -+2/5), odd sectors, ell = 3/2, the float
+    # sqrt(D^2 + lam^2) rounds 1 ulp away from K = 3; with the exact p = 3
+    # and b = 4 every value is within 3 ulps of a 60-digit reference (the
+    # slack is for libm exp and pow)
+    with mpmath.workdps(60):
+        for nu in ((F(2, 5), F(-2, 5)), (F(-2, 5), F(2, 5))):
+            params = WignerParams(*nu)
+            for eps1, eps2 in ((1, -1), (-1, 1)):
+                for n in range(3):
+                    state = SectorState(eps1, eps2, n, F(3, 2), 1)
+                    for r in (0.3, 1.0, 2.5, 7.0):
+                        x = mpmath.mpf(r)
+                        want = (mpmath.exp(-x * x / 4) * x**3
+                                * mpmath.hyp1f1(-n, 4, x * x / 2))
+                        got = radial_wavefunction(state, params, r)
+                        ulps = abs(mpmath.mpf(got) - want) / math.ulp(float(want))
+                        assert ulps <= 3, (state, nu, r, float(ulps))
