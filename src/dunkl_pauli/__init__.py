@@ -28,7 +28,8 @@ _LAZY = {
                     "radial_oracle"),
     **dict.fromkeys(("ThermoCurve", "ThermoInputs", "direct_sum_partition",
                      "entropy", "heat_capacity", "helmholtz",
-                     "internal_energy", "partition", "sweep"), "thermo"),
+                     "internal_energy", "partition", "sweep", "sweeps"),
+                    "thermo"),
 }
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
     "entropy", "eta", "heat_capacity", "helmholtz", "hyp1f1",
     "internal_energy", "jacobi", "lambda_value", "lowest_eigenvalues",
     "partition", "radial_wavefunction", "radical_identity_check", "reflect",
-    "rho", "sweep", "validate_sector",
+    "rho", "sweep", "sweeps", "validate_sector",
 ]
 
 

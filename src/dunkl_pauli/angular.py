@@ -288,7 +288,12 @@ class TrigPoly:
         return self.evaluate_cs(math.cos(theta), math.sin(theta))
 
     def evaluate_cs(self, c: float, s: float):
-        """f at the angle with cosine c and sine s."""
+        """f at the angle with cosine c and sine s; a zero part is not
+        evaluated."""
+        if self.odd.is_zero():
+            return self.even.evaluate(c)
+        if self.even.is_zero():
+            return s * self.odd.evaluate(c)
         return self.even.evaluate(c) + s * self.odd.evaluate(c)
 
     def __repr__(self):

@@ -166,20 +166,31 @@ def _ladder(sector, params: WignerParams, ell: Fraction, sign: int):
     return rho(ell, sector[0] * sector[1], sign, params), eta(*sector, params)
 
 
-def _thermo_csv(args: argparse.Namespace, quantity: str, sector,
-                params: WignerParams, ell: Fraction, rh: float, et: float) -> str:
-    from .thermo import ThermoInputs, sweep
+def _sweeps(args: argparse.Namespace, quantity: str, ladders):
+    """One ``thermo.sweeps`` call over the ladders (sector, params, ell, rho,
+    eta) on the temperature grid of ``args``: their curves, or a ValueError
+    that names the ladder with a value the thermo kernel cannot settle."""
+    from .rounding import Unsettled
+    from .thermo import ThermoInputs, sweeps
     try:
-        curve = sweep(quantity, ThermoInputs(1.0, rh, et, args.mode), args.taus)
-    except ValueError as exc:
+        return sweeps(quantity, [ThermoInputs(1.0, rh, et, args.mode)
+                                 for *_, rh, et in ladders], args.taus)
+    except Unsettled as exc:
+        *_, ell, rh, et = ladders[exc.index // len(args.taus)]
         raise ValueError(
             f"cannot evaluate {quantity} on the ladder at ell = {float(ell):.6g} "
             f"(rho = {rh:.6g}, eta = {et:.6g}) for tau in "
             f"[{args.tmin:g}, {args.tmax:g}]: {exc}") from None
+
+
+def _thermo_csv(args: argparse.Namespace, curve, ladder, tau_column) -> str:
+    """The CSV of one ladder's finished curve; ``tau_column`` is its grid,
+    formatted."""
+    sector, params, ell, rh, et = ladder
     nu1, nu2 = params.as_floats()
     lines = [
         "# dunkl-pauli thermo sweep",
-        f"# quantity = {quantity}",
+        f"# quantity = {curve.quantity}",
         f"# mode = {args.mode}",
         f"# sector = {_sector_name(sector)}",
         f"# nu1 = {_fmt(nu1)}",
@@ -190,7 +201,8 @@ def _thermo_csv(args: argparse.Namespace, quantity: str, sector,
         f"# eta = {_fmt(et)}",
         "tau,value",
     ]
-    lines += [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(curve.grid, curve.values)]
+    # the values are floats: _fmt's format without its float() call
+    lines += [f"{t},{v:.17g}" for t, v in zip(tau_column, curve.values)]
     return "\n".join(lines) + "\n"
 
 
@@ -198,15 +210,16 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     sector, params, ell = args.sector_pair, args.params, args.ell_value
     if ell is None:
         ell = lowest_ells(sector[0] * sector[1], 1)[0]
-    rh, et = _ladder(sector, params, ell, args.sign)
-    _write_text(args.out,
-                _thermo_csv(args, args.quantity, sector, params, ell, rh, et))
+    ladder = (sector, params, ell, *_ladder(sector, params, ell, args.sign))
+    [curve] = _sweeps(args, args.quantity, [ladder])
+    _write_text(args.out, _thermo_csv(args, curve, ladder,
+                                      [_fmt(t) for t in args.taus]))
     return 0
 
 
 def _figure_curves(fig_num: int, panel: str, override: Fraction | None,
                    sign: int):
-    """(label, sector, params, ell, rho, eta) of each curve of one figure
+    """(label, (sector, params, ell, rho, eta)) of each curve of one figure
     panel.  An ell override applies to the sectors whose parity it has."""
 
     def curve(label: str, sector, params: WignerParams):
@@ -216,7 +229,7 @@ def _figure_curves(fig_num: int, panel: str, override: Fraction | None,
             half_odd = (2 * override).numerator % 2 == 1
             if (epsilon == -1) == half_odd:
                 ell = override
-        return (label, sector, params, ell, *_ladder(sector, params, ell, sign))
+        return label, (sector, params, ell, *_ladder(sector, params, ell, sign))
 
     if fig_num % 2 == 1:  # sector fixed by panel, deformation swept
         sector = _FIGURE_SECTOR_PANELS[panel]
@@ -226,6 +239,18 @@ def _figure_curves(fig_num: int, panel: str, override: Fraction | None,
     params = WignerParams(*_FIGURE_NU_PANELS[panel])
     return [curve(f"sector_{_sector_name(sector, 'pm')}", sector, params)
             for sector in SECTORS]
+
+
+def _provenance() -> dict:
+    """What produced a figure bundle: package, Python, numpy, platform."""
+    import platform
+
+    import numpy
+
+    from . import __version__
+    return {"package_version": __version__,
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "platform": sys.platform, "machine": platform.machine()}
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -239,17 +264,22 @@ def cmd_figure(args: argparse.Namespace) -> int:
               "ell": args.ell, "branch": args.branch, "mode": args.mode,
               "t_min": args.tmin, "t_max": args.tmax, "steps": args.steps,
               "out": args.out}
+    provenance = _provenance()
+    tau_column = [_fmt(t) for t in args.taus]
     files = {}
     for panel, curves in panels.items():
         manifest = {
             "figure": f"{args.fig_num}{panel}",
             "quantity": quantity,
             "config": config,
+            "provenance": provenance,
             "curves": [],
         }
-        for label, sector, params, ell, rh, et in curves:
+        ladders = [ladder for _, ladder in curves]
+        for (label, ladder), curve in zip(curves, _sweeps(args, quantity, ladders)):
+            sector, params, ell, rh, et = ladder
             fname = f"fig{args.fig_num}{panel}_{quantity}_{label}.csv"
-            files[fname] = _thermo_csv(args, quantity, sector, params, ell, rh, et)
+            files[fname] = _thermo_csv(args, curve, ladder, tau_column)
             nu1, nu2 = params.as_floats()
             manifest["curves"].append({
                 "file": fname,

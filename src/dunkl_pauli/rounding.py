@@ -1,12 +1,15 @@
 """Correctly rounded evaluation of closed forms over float64 arrays.
 
-A closed form is written once as ``terms(num, arg) -> (exact, t)``.  Its
+A closed form is written once as ``terms(num, *args) -> (exact, t)``.  Its
 value is ``sum(exact) + t``: ``exact`` is a tuple of doubles, summed without
-rounding, and ``t`` is built from ``num.const(arg)``, Python numbers, the
-operators ``+ - * /`` and ``num.exp``, ``num.log1p``, ``num.ln2``,
-``num.ln10``.  :func:`round_curve` returns, for each element of ``arg``, the
-double nearest to that exact value (ties to even), that is the correctly
-rounded result, which every IEEE-754 platform reproduces bit for bit.
+rounding, and ``t`` is built from ``num.const(a)``, the arguments, Python
+numbers, the operators ``+ - * /`` and ``num.exp``, ``num.log1p``,
+``num.ln2``, ``num.ln10``; ``num.choose(cond, f, g)`` picks a branch per
+element.  :func:`round_curve` evaluates it elementwise over broadcast
+argument arrays, so that many curves sharing one closed form take one call,
+and returns for each element the double nearest to that exact value (ties
+to even), that is the correctly rounded result, which every IEEE-754
+platform reproduces bit for bit.
 
 The method is Ziv's (A. Ziv, ACM TOMS 17(3), 1991):
 
@@ -451,6 +454,8 @@ class _Exact:
     def _exact(self, v) -> _Dec:
         return _Dec(v, _UP.multiply(v.copy_abs(), self.rel), self)
 
+    choose = staticmethod(_Floats.choose)
+
     def exp(self, *args):
         out = []
         for a in args:
@@ -549,18 +554,27 @@ def _ends(t: _Dec):
     return down.subtract(t.v, t.err), up.add(t.v, t.err)
 
 
-def settle(terms, arg: float) -> float:
-    """The correctly rounded value of ``terms`` at ``arg`` from the decimal
-    evaluation, at increasing precision up to the cap."""
+class Unsettled(ValueError):
+    """No correctly rounded value within the decimal fallback's cap at the
+    element ``index`` of :func:`round_curve`'s arguments."""
+
+    def __init__(self, index: int, cause: ValueError):
+        super().__init__(str(cause))
+        self.index = index
+
+
+def settle(terms, *args: float) -> float:
+    """The correctly rounded value of ``terms`` at the scalars ``args`` from
+    the decimal evaluation, at increasing precision up to the cap."""
     for prec in _PRECISIONS:
-        exact, t = terms(_Exact(prec), arg)
+        exact, t = terms(_Exact(prec), *args)
         if t.v.is_finite() and t.err.is_finite():
             lo, hi = (_clamp_decimal(v) for v in _ends(t))
             value = _round_interval(exact, lo, hi)
             if value is not None:
                 return value
-    raise ValueError(f"no correctly rounded value at {arg!r} within "
-                     f"{_PRECISIONS[-1]} digits")
+    raise ValueError(f"no correctly rounded value at {', '.join(map(repr, args))} "
+                     f"within {_PRECISIONS[-1]} digits")
 
 
 def _clamp_decimal(v: Decimal) -> Fraction:
@@ -585,39 +599,55 @@ def _rounded(exact, t: _DD):
     return v.hi, ok, radius
 
 
-def _finish(terms, x: float, exact, parts, radius: float) -> float:
+def _finish(terms, args, exact, parts, radius: float) -> float:
     """A value that failed the fast rounding test: the exact interval test
-    on the fast path's result, else the decimal fallback."""
+    on the fast path's result, else the decimal fallback at ``args``."""
     value = None
     if all(map(math.isfinite, (*parts, radius))):
         mid = Fraction(parts[0]) + Fraction(parts[1])
         value = _round_interval(exact, mid - Fraction(radius),
                                 mid + Fraction(radius))
-    return value if value is not None else settle(terms, x)
+    return value if value is not None else settle(terms, *args)
 
 
-def _round_point(terms, x: float) -> float:
+def _round_point(terms, args) -> float:
     try:
-        exact, t = terms(_Floats, x)
+        exact, t = terms(_Floats, *args)
         hi, ok, radius = _rounded(exact, t)
     except (ArithmeticError, ValueError):
-        return settle(terms, x)
-    return hi if ok else _finish(terms, x, exact, (t.hi, t.lo), radius)
+        return settle(terms, *args)
+    return hi if ok else _finish(terms, args, exact, (t.hi, t.lo), radius)
 
 
-def round_curve(terms, arg) -> list[float]:
-    """Correctly rounded values of ``terms`` at every element of the 1-d
-    ``arg``: vectorised for long arrays, point by point in Python floats up
-    to ``_SHORT`` elements, where numpy's per-call cost would dominate."""
-    arg = np.asarray(arg, dtype=float)
-    if arg.size <= _SHORT:
-        return [_round_point(terms, x) for x in arg.tolist()]
-    with np.errstate(all="ignore"):
-        exact, t = terms(_Arrays, arg)
-        t = _DD(*(np.broadcast_to(f, arg.shape) for f in (t.hi, t.lo, t.err)))
-        hi, ok, radius = _rounded(exact, t)
-    out = hi.tolist()
-    for i in np.flatnonzero(~ok):
-        out[i] = _finish(terms, float(arg[i]), exact,
-                         (float(t.hi[i]), float(t.lo[i])), float(radius[i]))
+def _fill(out: list, indices, value) -> list:
+    """out[i] = value(i) at each index; a ValueError names its index."""
+    for i in indices:
+        try:
+            out[i] = value(i)
+        except ValueError as exc:
+            raise Unsettled(i, exc) from None
     return out
+
+
+def round_curve(terms, *args) -> list[float]:
+    """Correctly rounded values of ``terms`` at every element of the
+    broadcast ``args``, in C order (an (n,) and a (k, 1) argument give k
+    runs of n values): vectorised for long arrays, point by point in Python
+    floats up to ``_SHORT`` elements, where numpy's per-call cost would
+    dominate.  Raises :class:`Unsettled` for an element the decimal
+    fallback cannot settle; its ``index`` counts in the same order."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    grid = np.broadcast(*args)
+    if grid.size <= _SHORT:
+        points = [tuple(map(float, p)) for p in grid]
+        return _fill([0.0] * grid.size, range(grid.size),
+                     lambda i: _round_point(terms, points[i]))
+    args = [np.broadcast_to(a, grid.shape).ravel() for a in args]
+    with np.errstate(all="ignore"):
+        exact, t = terms(_Arrays, *args)
+        t = _DD(*(np.broadcast_to(f, args[0].shape) for f in (t.hi, t.lo, t.err)))
+        hi, ok, radius = _rounded(exact, t)
+    exact = [np.broadcast_to(c, args[0].shape) for c in exact]
+    return _fill(hi.tolist(), np.flatnonzero(~ok).tolist(), lambda i: _finish(
+        terms, [float(a[i]) for a in args], [float(c[i]) for c in exact],
+        (float(t.hi[i]), float(t.lo[i])), float(radius[i])))

@@ -14,12 +14,15 @@ precision), "paper-faithful" transcribes the printed formulas (+rho in U
 becomes -rho; tanh(x*eta) in the last entropy term becomes coth(x*eta)).
 Z, F and C are identical in both modes.
 
-The scalar functions and ``sweep`` return the correctly rounded
-(round-to-nearest) double of each closed form at x, rho and eta, from one
-evaluator (``_curve_terms`` with ``rounding.round_curve``); ``log_grid``
-returns the correctly rounded points 10**y_i of the log-spaced grid
-y_i = i*step + lo, step = (hi - lo)/(steps - 1), with lo and hi the
-correctly rounded log10 of its exact endpoints.  Every value is therefore
+The scalar functions, ``sweeps`` and ``sweep`` return the correctly
+rounded (round-to-nearest) double of each closed form at x, rho and eta,
+from one evaluator: ``_curve_terms`` gives one closed form per quantity and
+mode, and ``rounding.round_curve`` evaluates it elementwise over (x, rho,
+eta), so that ``sweeps`` takes all the ladders of a figure panel on one
+temperature grid in a single call.  ``log_grid`` returns the correctly
+rounded points 10**y_i of the log-spaced grid y_i = i*step + lo,
+step = (hi - lo)/(steps - 1), with lo and hi the correctly rounded log10 of
+its exact endpoints.  Every value is therefore
 the same on every IEEE-754 platform, whatever its libm or SIMD dispatch.
 A value the decimal fallback cannot settle, which happens only far outside
 x in [1e-3, 700], raises ValueError.
@@ -28,12 +31,13 @@ x in [1e-3, 700], raises ValueError.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rounding import round_curve, settle
+from .rounding import _two_sum, round_curve, settle
 
 MODES = ("consistent", "paper-faithful")
 
@@ -57,7 +61,8 @@ class ThermoInputs:
 
 def _value(quantity: str, inputs: ThermoInputs) -> float:
     """The correctly rounded closed form of one quantity at ``inputs``."""
-    return round_curve(_curve_terms(quantity, inputs), (inputs.x,))[0]
+    return round_curve(_curve_terms(quantity, inputs.mode), inputs.x,
+                       inputs.rho, abs(inputs.eta))[0]
 
 
 def log_partition(inputs: ThermoInputs) -> float:
@@ -132,9 +137,9 @@ class ThermoCurve:
     provenance: ThermoInputs
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
+        if any(map(operator.le, self.grid[1:], self.grid)):
             raise ValueError("temperature grid must be strictly ascending")
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ValueError("curve contains non-finite values")
 
 
@@ -147,13 +152,15 @@ QUANTITIES = {
 }
 
 
-def _curve_terms(quantity: str, template: ThermoInputs):
-    """The closed form of one quantity as ``terms(num, x) -> (exact, t)``
-    for :mod:`.rounding`: the value is ``sum(exact) + t``.
+def _curve_terms(quantity: str, mode: str):
+    """The closed form of one quantity in one mode as
+    ``terms(num, x, rho, e) -> (exact, t)`` for :mod:`.rounding`, with
+    e = |eta|: the value is ``sum(exact) + t``.  The arguments are floats,
+    or on the vectorised path float arrays of one point per element.
 
-    With e = |eta|, y = x*e, q = exp(-x) and p = exp(-2y), the closed forms
-    of the functions above regroup into sums whose terms, exact doubles
-    apart, share one sign:
+    With y = x*e, q = exp(-x) and p = exp(-2y), the closed forms of the
+    functions above regroup into sums whose terms, exact doubles apart,
+    share one sign:
 
         Z = exp(y - x*rho - x/2) (1 + p)/(1 - q)
         log Z = (y - x*rho - x/2) + log1p(p) - log1p(-q)
@@ -163,14 +170,15 @@ def _curve_terms(quantity: str, template: ThermoInputs):
         S = -log1p(-q) + x q/(1 - q) + log1p(p) + 2y p/(1 + p)
 
     except the last entropy term in paper-faithful mode, -2y p/(1 - p), or
-    its limit log(2) - 1 when eta == 0.  The linear part of log Z is left
+    its limit log(2) - 1 where eta == 0.  The linear part of log Z is left
     out where e - 1/2 - rho is exactly 0: there its rounding error would
-    swamp the exponentially small rest.
+    swamp the exponentially small rest.  Both branches are taken per
+    element (``num.choose``).  A ``_DD`` stays the left operand of every
+    product with an argument, since numpy would otherwise make an object
+    array of them.
     """
-    rho, e, mode = template.rho, abs(template.eta), template.mode
-    linear = math.fsum((e, -0.5, -rho)) != 0  # fsum: 0 only for an exact 0
 
-    def terms(num, x):
+    def terms(num, x, rho, e):
         X = num.const(x)
         Y = X * e
         extra = (Y - X * rho - 0.5 * X,) if quantity == "Z" else ()
@@ -182,44 +190,63 @@ def _curve_terms(quantity: str, template: ThermoInputs):
             return (), X * X * q / (omq * omq) + 4 * Y * Y * p / (opp * opp)
         if quantity == "U":
             sign = 1.0 if mode == "consistent" else -1.0
-            return (sign * rho, 0.5, -e), q / omq + 2 * e * p / opp
+            return (sign * rho, 0.5, -e), q / omq + p * (2 * e) / opp
         lq, lp = num.log1p(-q, p)
         if quantity == "log Z":
             t = lp - lq
-            return (), t + (Y - X * rho - 0.5 * X) if linear else t
+            d, d_err = _two_sum(e, -rho)  # e - rho exactly
+            return (), num.choose((d != 0.5) | (d_err != 0),
+                                  lambda: t + (Y - X * rho - 0.5 * X), lambda: t)
         if quantity == "F":
             return (rho, 0.5, -e), (lq - lp) / X
         s = X * q / omq - lq
         if mode == "consistent":
             return (), s + lp + 2 * Y * p / opp
-        if e == 0:
-            return (), s + (num.ln2() - 1)
-        return (), s + lp - 2 * Y * p / (1 - p)
+        return (), num.choose(e == 0, lambda: s + (num.ln2() - 1),
+                              lambda: s + lp - 2 * Y * p / (1 - p))
 
     return terms
 
 
-def sweep(quantity: str, template: ThermoInputs, tau_grid) -> ThermoCurve:
-    """Evaluate one quantity over a temperature grid with the template's
-    (rho, eta, mode).
+def sweeps(quantity: str, templates, tau_grid) -> list[ThermoCurve]:
+    """Evaluate one quantity over one temperature grid for each template's
+    (rho, eta); the templates share one mode.
 
     Each value is the correctly rounded (round-to-nearest) double of the
     quantity's closed form above at the inputs x = 1.0/tau (the float
     division), rho and eta: the value the scalar function gives at that x,
-    and the same on every IEEE-754 platform.  ``log_grid`` gives the
-    matching temperature grid.  Raises ValueError for temperatures that are
-    not positive and finite, and (far outside x in [1e-3, 700]) where the
-    decimal fallback cannot settle a value.
+    and the same on every IEEE-754 platform.  All len(templates) *
+    len(tau_grid) points take one ``round_curve`` call, elementwise over
+    (x, rho, eta): one call per figure panel.  ``log_grid`` gives the
+    matching temperature grid.  Raises ValueError for templates of more
+    than one mode or none, for temperatures that are not positive and
+    finite, and (far outside x in [1e-3, 700]) ``rounding.Unsettled``
+    where the decimal fallback cannot settle a value; its ``index //
+    len(tau_grid)`` is the template's position.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {sorted(QUANTITIES)}, "
                          f"got {quantity!r}")
+    modes = {t.mode for t in templates}
+    if len(modes) != 1:
+        raise ValueError(f"the templates must share one mode, got {sorted(modes)}")
     taus = tuple(float(t) for t in tau_grid)
     if not all(0 < t < math.inf for t in taus):
         raise ValueError("all temperatures must be positive and finite")
-    x = 1.0 / np.array(taus, dtype=float)
-    values = round_curve(_curve_terms(quantity, template), x)
-    return ThermoCurve(quantity, taus, tuple(values), template)
+    # x along the grid, (rho, e) down the templates: one run per template
+    values = round_curve(_curve_terms(quantity, modes.pop()),
+                         1.0 / np.array(taus, dtype=float),
+                         [[t.rho] for t in templates],
+                         [[abs(t.eta)] for t in templates])
+    n = len(taus)
+    return [ThermoCurve(quantity, taus, tuple(values[k * n:(k + 1) * n]), t)
+            for k, t in enumerate(templates)]
+
+
+def sweep(quantity: str, template: ThermoInputs, tau_grid) -> ThermoCurve:
+    """``sweeps`` with the one template: the quantity over a temperature
+    grid with the template's (rho, eta, mode)."""
+    return sweeps(quantity, (template,), tau_grid)[0]
 
 
 def _pow10_terms(num, y):

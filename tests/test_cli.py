@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dunkl_pauli
@@ -224,6 +226,22 @@ def test_figure_manifest_config_records_the_options_figure_reads(tmp_path, capsy
         "out": str(tmp_path)}
 
 
+def test_figure_manifest_records_its_provenance(tmp_path, capsys, monkeypatch):
+    # platform.platform() would scan the interpreter binary for its libc
+    def unused():
+        raise AssertionError("platform.platform() called")
+
+    monkeypatch.setattr(platform, "platform", unused)
+    code, _, _ = run(capsys, "figure", "--figure", "2a", "--out", str(tmp_path),
+                     "--steps", "8")
+    assert code == 0
+    manifest = json.loads((tmp_path / "fig2a_manifest.json").read_text())
+    assert manifest["provenance"] == {
+        "package_version": dunkl_pauli.__version__,
+        "python": platform.python_version(), "numpy": np.__version__,
+        "platform": sys.platform, "machine": platform.machine()}
+
+
 def test_figure_unknown_id_exits_2(capsys):
     code, _, err = run(capsys, "figure", "--figure", "9a")
     assert code == 2 and err.startswith("error:")
@@ -339,11 +357,21 @@ def test_a_grid_whose_rounded_points_repeat_is_named(capsys, argv):
     assert "temperature grid" in err and "repeats" in err and "ladder" not in err
 
 
-@pytest.mark.parametrize("argv", [_THERMO, _FIGURE], ids=["thermo", "figure"])
-def test_a_ladder_the_thermo_kernel_cannot_evaluate_is_named(capsys, argv):
-    code, _, err = run(capsys, *argv, "--ell", "1e150", "--steps", "4")
+@pytest.mark.parametrize("argv", [
+    (*_THERMO, "--steps", "4", "--ell", "1e150"),
+    (*_FIGURE, "--steps", "4", "--ell", "1e150"),
+    # one vectorised evaluation of the panel's four ladders: only the two
+    # even sectors (the first two) take the integer ell, and the odd ones
+    # evaluate normally; a half-odd ell fails in the last two instead
+    (*_FIGURE, "--steps", "400", "--ell", "1e150"),
+    (*_FIGURE, "--steps", "400", "--ell", f"{2 * 10 ** 150 + 1}/2"),
+], ids=["thermo", "figure", "figure-batched", "figure-batched-odd"])
+def test_a_ladder_the_thermo_kernel_cannot_evaluate_is_named(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
     assert code == 2
     assert "ell = 1e+150" in err and "rho = 2e+150" in err
+    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- imports

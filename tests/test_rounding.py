@@ -118,20 +118,19 @@ def test_decimal_fallback_agrees_bit_for_bit_with_fast_path(grid):
     for rho, eta in LADDERS:
         for mode in MODES:
             for quantity in (*QUANTITIES, "log Z"):
-                terms = thermo._curve_terms(quantity,
-                                            ThermoInputs(1.0, rho, eta, mode))
-                fast = rounding.round_curve(terms, xs)
-                slow = [rounding.settle(terms, x) for x in xs]
+                terms = thermo._curve_terms(quantity, mode)
+                fast = rounding.round_curve(terms, xs, rho, abs(eta))
+                slow = [rounding.settle(terms, x, rho, abs(eta)) for x in xs]
                 assert fast == slow, (quantity, mode, rho, eta)
 
 
 def test_decimal_fallback_raises_at_its_precision_cap(monkeypatch):
-    terms = thermo._curve_terms("S", ThermoInputs(1.0, 0.8, -0.3))
-    assert rounding.settle(terms, 2.5) == sweep(
+    terms = thermo._curve_terms("S", "consistent")
+    assert rounding.settle(terms, 2.5, 0.8, 0.3) == sweep(
         "S", ThermoInputs(1.0, 0.8, -0.3), [0.4]).values[0]
     monkeypatch.setattr(rounding, "_PRECISIONS", (4, 8))
     with pytest.raises(ValueError, match="within 8 digits"):
-        rounding.settle(terms, 2.5)
+        rounding.settle(terms, 2.5, 0.8, 0.3)
 
 
 def _cpu_features():

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dunkl_pauli import rounding, thermo
 from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.spectrum import eta, rho
 from dunkl_pauli.thermo import (MODES, QUANTITIES, ThermoCurve, ThermoInputs,
                                 direct_sum_partition, entropy, heat_capacity,
-                                helmholtz, internal_energy, log_partition,
-                                partition, sweep)
+                                helmholtz, internal_energy, log_grid,
+                                log_partition, partition, sweep, sweeps)
 
 PIN_RHO = 2.7416407864998735  # rho at ell=1, even sector, nu1=nu2=0.4
 
@@ -276,3 +277,85 @@ def test_sweep_records_provenance():
     assert curve.provenance is template
     assert curve.quantity == "U"
     assert curve.grid == (0.5, 1.0, 2.0)
+
+
+# (rho, eta) of the batched ladders: eta = 0 (the paper-faithful entropy
+# limit), rho = 0, rho = |eta| - 1/2 (log Z without its linear part, here
+# with a negative eta), a deformed even ladder and a generic one.  x = 700
+# on the wide grids needs the decimal fallback for every quantity.
+BATCH = [(1.3, 0.0), (0.0, 0.5), (0.25, -0.75), (PIN_RHO, 0.9), (0.8, 0.3)]
+BATCH_GRIDS = [log_grid(1 / 700, 1000.0, 400), log_grid(1 / 700, 1000.0, 12)]
+
+
+def _bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _count_fallbacks(monkeypatch):
+    calls = {"_finish": 0, "settle": 0}
+    for name in calls:
+        original = getattr(rounding, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rounding, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("quantity", sorted(QUANTITIES))
+def test_sweeps_equal_one_sweep_per_template_bit_for_bit(monkeypatch, quantity):
+    calls = _count_fallbacks(monkeypatch)
+    for grid in BATCH_GRIDS:
+        for mode in MODES:
+            templates = [ThermoInputs(1.0, r, h, mode) for r, h in BATCH]
+            before = dict(calls)
+            batched = sweeps(quantity, templates, grid)
+            assert calls["_finish"] > before["_finish"]  # the fallback ran
+            assert [c.provenance for c in batched] == templates
+            for template, curve in zip(templates, batched):
+                alone = sweep(quantity, template, grid)
+                assert curve.grid == alone.grid == grid
+                assert _bytes(curve.values) == _bytes(alone.values), \
+                    (quantity, mode, template, len(grid))
+    assert calls["settle"] > 0
+
+
+def test_batched_log_partition_decides_its_linear_part_per_element():
+    # log Z is no sweep quantity; its closed form is batched the same way.
+    # At (1e-20, 0.5) e - rho rounds to 1/2, but e - 1/2 - rho is -1e-20:
+    # the linear part stays, and it dominates log Z
+    ladders = [*BATCH, (1e-20, 0.5)]
+    x = 1.0 / np.array(BATCH_GRIDS[0])
+    for mode in MODES:
+        terms = thermo._curve_terms("log Z", mode)
+        batched = rounding.round_curve(terms, x, [[r] for r, _ in ladders],
+                                       [[abs(h)] for _, h in ladders])
+        alone = [v for r, h in ladders for v in rounding.round_curve(terms, x, r, abs(h))]
+        assert _bytes(batched) == _bytes(alone)
+        assert batched[2 * x.size:3 * x.size:57] == [
+            log_partition(ThermoInputs(float(v), 0.25, -0.75, mode)) for v in x[::57]]
+        assert log_partition(ThermoInputs(100.0, 1e-20, 0.5, mode)) == -100 * 1e-20
+
+
+def test_sweeps_validation():
+    grid = (0.5, 1.0)
+    for templates in ([], [ThermoInputs(1.0, 0.0, 0.5),
+                           ThermoInputs(1.0, 0.0, 0.5, "paper-faithful")]):
+        with pytest.raises(ValueError, match="one mode"):
+            sweeps("Z", templates, grid)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sweeps("Z", [ThermoInputs(1.0, 0.0, 0.5)], (1.0, math.inf))
+
+
+def test_an_unsettled_point_names_its_position(monkeypatch):
+    # with the decimal fallback capped at 4 digits, the first point that
+    # needs it fails; its index // len(grid) is the template
+    monkeypatch.setattr(rounding, "_PRECISIONS", (4,))
+    grid = BATCH_GRIDS[1]
+    templates = [ThermoInputs(1.0, 0.3, 0.7), ThermoInputs(1.0, 0.0, 0.5)]
+    with pytest.raises(rounding.Unsettled, match="within 4 digits") as exc:
+        sweeps("F", templates, grid)
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.index // len(grid) == 1
