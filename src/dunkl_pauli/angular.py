@@ -285,16 +285,12 @@ class TrigPoly:
         return TrigPoly(b.shift_up() - _times_s2(b.derivative()), -a.derivative())
 
     def evaluate(self, theta: float):
-        return self.evaluate_cs(math.cos(theta), math.sin(theta))
+        c = math.cos(theta)
+        return self.even.evaluate(c) + math.sin(theta) * self.odd.evaluate(c)
 
-    def evaluate_cs(self, c: float, s: float):
-        """f at the angle with cosine c and sine s; a zero part is not
-        evaluated."""
-        if self.odd.is_zero():
-            return self.even.evaluate(c)
-        if self.even.is_zero():
-            return s * self.odd.evaluate(c)
-        return self.even.evaluate(c) + s * self.odd.evaluate(c)
+    def norm1(self) -> Fraction:
+        """Sum of |coefficients| of both parts: a bound on |f| at every theta."""
+        return sum(Fraction(sum(map(abs, p._n)), p._d) for p in (self.even, self.odd))
 
     def __repr__(self):
         return f"TrigPoly(even={list(self.even.coeffs)}, odd={list(self.odd.coeffs)})"
@@ -434,17 +430,6 @@ def lambda_value(ell, epsilon: int, branch: int, params: WignerParams) -> float:
     return branch * math.sqrt(num / den)
 
 
-def _sqrt_exact(q: Fraction):
-    """Exact rational square root, or None if q is not a perfect square."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _ratio(p: Poly1, q: Poly1) -> Fraction:
     """The exact m with p = m*q; raises if p is not a multiple of q."""
     d = q.degree()
@@ -491,8 +476,9 @@ class AngularEigenpair:
 
     The eigenfunction is weights[0]*basis[0] + weights[1]*basis[1] with exact
     rational basis functions and complex mixing weights; it satisfies
-    G(Theta) = -i*lam*Theta and R1R2(Theta) = epsilon*Theta.  images holds
-    the exact G(basis[k]) that the construction computed and checked.
+    G(Theta) = -i*lam*Theta and R1R2(Theta) = epsilon*Theta.  restriction
+    holds the exact ratios (m12, m21) that the construction checked:
+    G(basis[0]) = m21*basis[1] and G(basis[1]) = m12*basis[0].
     """
 
     eps1: int
@@ -500,9 +486,8 @@ class AngularEigenpair:
     ell: Fraction
     branch: int
     lam: float
-    lam_exact: Fraction | None
     basis: tuple[TrigPoly, ...]
-    images: tuple[TrigPoly, ...]
+    restriction: tuple[Fraction, Fraction]
     weights: tuple[complex, ...]
     params: WignerParams
     is_constant_mode: bool = False
@@ -525,10 +510,11 @@ def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
     is [[0, m12], [m21, 0]] and lam^2 = -m12*m21.  Both ratios are exact and
     checked, so a basis that G does not swap raises, and lam^2 is checked
     against the closed form exactly.  None of this depends on the branch, so
-    it is done once.  Each branch then takes lam's sign and the mixing
-    weights (1, -i*lam/m12), checked against the restriction to 1e-12, so
-    the two branches are complex conjugates of each other.
-    The ell = 0 constant mode (lam = 0, image 0) is returned with
+    it is done once; |lam| is sqrt(num/den) of the checked radicand, the
+    same double as lambda_value.  Each branch then takes lam's sign
+    and the mixing weights (1, -i*lam/m12), checked against the restriction
+    to 1e-12, so the two branches are complex conjugates of each other.
+    The ell = 0 constant mode (lam = 0, restriction (0, 0)) is returned with
     is_constant_mode set so enumerations can exclude it.
     """
     eps1, eps2 = sector
@@ -539,8 +525,8 @@ def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
     _validate_sector_ell(ell, epsilon)
 
     if epsilon == 1 and ell == 0:
-        return tuple([AngularEigenpair(eps1, eps2, ell, branch, 0.0, Fraction(0),
-                                       (TrigPoly.one(),), (TrigPoly(),), (1 + 0j,),
+        return tuple([AngularEigenpair(eps1, eps2, ell, branch, 0.0, (TrigPoly.one(),),
+                                       (Fraction(0), Fraction(0)), (1 + 0j,),
                                        params, is_constant_mode=True)
                       for branch in (1, -1)])
 
@@ -563,8 +549,7 @@ def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
     if det.numerator * den != num * det.denominator:
         raise ValueError("restriction determinant disagrees with closed form")
 
-    root = _sqrt_exact(det)
-    lam_abs = math.sqrt(float(det)) if root is None else float(root)
+    lam_abs = math.sqrt(num / den)
     scale = float(m12)
     pairs = []
     for branch in (1, -1):
@@ -575,9 +560,8 @@ def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
         w1, w2 = complex(scale) / scale, mu / scale
         if abs(float(m21) * w1 - mu * w2) > 1e-12 * max(abs(lam), 1.0):
             raise AssertionError("eigenvector verification failed")
-        pairs.append(AngularEigenpair(eps1, eps2, ell, branch, lam,
-                                      None if root is None else branch * root,
-                                      (f1, f2), (g1, g2), (w1, w2), params))
+        pairs.append(AngularEigenpair(eps1, eps2, ell, branch, lam, (f1, f2),
+                                      (m12, m21), (w1, w2), params))
     return tuple(pairs)
 
 

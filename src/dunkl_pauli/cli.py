@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -311,7 +312,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with single-line machine-parsable errors and exit code 2."""
+    """argparse with single-line machine-parsable errors and exit code 2.
+    '-' or '-.' before a digit starts a value, as in --nu1 -2/5 or --nu2 -1e-1
+    (no option starts with a digit); argparse on 3.11 takes only decimals so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

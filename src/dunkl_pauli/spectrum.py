@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import WignerParams
-from .angular import _radicand_terms, _validate_sector_ell, lambda_value
+from .angular import _validate_sector_ell, lambda_radicand, lambda_value
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,16 @@ def energy_sector_form(state: SectorState, params: WignerParams) -> float:
 
 
 def radical_identity_check(ell, epsilon: int, params: WignerParams):
-    """Both sides of sqrt(D^2 + lam^2) = 2*ell + nu1 + nu2 (positive branch).
+    """Both sides of D^2 + lam^2 = (2*ell + nu1 + nu2)^2 as exact rationals
+    (D as in _kappa, lam^2 the exact lambda_radicand).
 
     The identity is what collapses the per-sector energies into the compact
-    (rho, eta) form; callers assert the two returned values agree.
+    (rho, eta) form; callers assert the two returned values are equal.
     """
-    lam = lambda_value(ell, epsilon, 1, params)
-    nu1, nu2 = params.as_floats()
-    return _kappa(lam, epsilon, params), 2.0 * float(Fraction(ell)) + nu1 + nu2
+    nu1, nu2 = params.nu1, params.nu2
+    d = nu1 + nu2 if epsilon == 1 else nu1 - nu2
+    return (d * d + lambda_radicand(ell, epsilon, params),
+            (2 * Fraction(ell) + nu1 + nu2) ** 2)
 
 
 def hyp1f1(a: float, b: float, x: float) -> float:
@@ -176,20 +178,16 @@ def hyp1f1(a: float, b: float, x: float) -> float:
 def _radial_parameters(state: SectorState,
                        params: WignerParams) -> tuple[float, float]:
     """The Frobenius power p = K - (nu1 + nu2) and the Kummer b = 1 + K of the
-    radial factor, K = |2 ell + nu1 + nu2|, each one correctly rounded int/int
-    division (p = 2 ell on published ells).  K is kappa = sqrt(D^2 + lam^2) by
-    the radical identity, checked here in integers: ArithmeticError if not.
+    radial factor, K = |2 ell + nu1 + nu2|, each correctly rounded (p = 2 ell
+    on published ells).  K is kappa = sqrt(D^2 + lam^2) by the radical
+    identity, checked exactly by radical_identity_check: ArithmeticError if not.
     """
-    num, den = _radicand_terms(state.ell, state.epsilon, params)
-    (a, b), (c, d) = params.nu1.as_integer_ratio(), params.nu2.as_integer_ratio()
-    m, q = state.ell.numerator, state.ell.denominator
-    s = a * d + c * b  # b*d*(nu1 + nu2)
-    dn = s if state.epsilon == 1 else a * d - c * b  # b*d*D
-    kn = abs(2 * m * b * d + q * s)  # q*b*d*K
-    if (dn * dn * den + num * (b * d) ** 2) * q * q != kn * kn * den:
+    lhs, rhs = radical_identity_check(state.ell, state.epsilon, params)
+    if lhs != rhs:
         raise ArithmeticError(f"D^2 + lam^2 != (2 ell + nu1 + nu2)^2 for {state}")
-    qbd = q * b * d
-    return (kn - q * s) / qbd, (qbd + kn) / qbd
+    s = params.nu1 + params.nu2
+    k = abs(2 * state.ell + s)
+    return float(k - s), float(1 + k)
 
 
 def radial_wavefunction(state: SectorState, params: WignerParams, r: float) -> float:

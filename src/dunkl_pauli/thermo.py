@@ -220,9 +220,10 @@ def sweeps(quantity: str, templates, tau_grid) -> list[ThermoCurve]:
     (x, rho, eta): one call per figure panel.  ``log_grid`` gives the
     matching temperature grid.  Raises ValueError for templates of more
     than one mode or none, for temperatures that are not positive and
-    finite, and (far outside x in [1e-3, 700]) ``rounding.Unsettled``
-    where the decimal fallback cannot settle a value; its ``index //
-    len(tau_grid)`` is the template's position.
+    finite or whose 1/tau overflows (subnormal ones), and (far outside x
+    in [1e-3, 700]) ``rounding.Unsettled`` where the decimal fallback
+    cannot settle a value; its ``index // len(tau_grid)`` is the
+    template's position.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {sorted(QUANTITIES)}, "
@@ -231,8 +232,8 @@ def sweeps(quantity: str, templates, tau_grid) -> list[ThermoCurve]:
     if len(modes) != 1:
         raise ValueError(f"the templates must share one mode, got {sorted(modes)}")
     taus = tuple(float(t) for t in tau_grid)
-    if not all(0 < t < math.inf for t in taus):
-        raise ValueError("all temperatures must be positive and finite")
+    if not all(0 < t < math.inf and 1.0 / t < math.inf for t in taus):
+        raise ValueError("all temperatures and 1/tau must be positive and finite")
     # x along the grid, (rho, e) down the templates: one run per template
     values = round_curve(_curve_terms(quantity, modes.pop()),
                          1.0 / np.array(taus, dtype=float),

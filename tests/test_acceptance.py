@@ -94,16 +94,17 @@ def test_criterion_04_spectrum_oracle_cross_validation():
 
 
 def test_criterion_05_radical_identity():
-    worst = 0.0
+    checked = unequal = 0
     for params in NU_GRID:
         for epsilon, ells in ((1, (1, 2, 3, 4, 5)),
                               (-1, tuple(F(k, 2) for k in (1, 3, 5, 7, 9)))):
             for ell in ells:
                 lhs, rhs = radical_identity_check(ell, epsilon, params)
-                worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
-    ok = worst <= 1e-12
-    report(5, ok, f"sqrt((nu1 +/- nu2)^2 + lam^2) = 2 ell + nu1 + nu2, worst "
-                  f"relative deviation {worst:.2e}")
+                checked += 1
+                unequal += lhs != rhs
+    ok = checked == 250 and unequal == 0
+    report(5, ok, f"(nu1 +/- nu2)^2 + lam^2 = (2 ell + nu1 + nu2)^2 exactly, "
+                  f"{unequal} of {checked} cases unequal")
 
 
 def _criterion4_ladders():

@@ -284,13 +284,13 @@ def test_lambda_value_validation():
 
 def test_eigenpair_undeformed_even_sector():
     pair = angular_eigenpair(1, (1, 1), 1, NU0)
-    assert pair.lam == 2.0 and pair.lam_exact == 2
+    assert pair.lam == 2.0
     assert pair.epsilon == 1
 
 
 def test_eigenpair_undeformed_odd_sector():
     pair = angular_eigenpair(F(1, 2), (1, -1), 1, NU0)
-    assert pair.lam == 1.0 and pair.lam_exact == 1
+    assert pair.lam == 1.0
 
 
 def test_eigenpair_deformed_lambda_and_grid_residual():
@@ -357,7 +357,15 @@ def test_one_branch_is_its_member_of_the_pair(nu):
                         assert list(map(_bits, a)) == list(map(_bits, b))
                     else:
                         assert a == b, field.name
-                assert member.images == tuple(apply_G(f, params) for f in member.basis)
+                if ell == 0:
+                    assert member.restriction == (0, 0)
+                    assert apply_G(member.basis[0], params).is_zero()
+                else:
+                    (f1, f2), (m12, m21) = member.basis, member.restriction
+                    assert apply_G(f1, params) == m21 * f2
+                    assert apply_G(f2, params) == m12 * f1
+                    assert _bits(member.lam) == _bits(
+                        lambda_value(ell, eps, branch, params))
                 assert member.is_constant_mode == (ell == 0)
 
 

@@ -296,6 +296,22 @@ _THERMO = ("thermo", "--quantity", "Z")
 _FIGURE = ("figure", "--figure", "2a")
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    (("spectrum", "--nu1", "-2/5", "--nu2", "-1e-1"),
+     ("spectrum", "--nu1=-2/5", "--nu2=-1e-1")),
+    ((*_THERMO, "--nu1", "-.25", "--nu2", "-3/10", "--steps", "5"),
+     (*_THERMO, "--nu1=-.25", "--nu2=-3/10", "--steps", "5")),
+], ids=["spectrum", "thermo"])
+def test_a_negative_value_needs_no_equals_sign(tmp_path, capsys, spaced, joined):
+    outs = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    for argv, out in zip((spaced, joined), outs):
+        assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # a negative temperature is still a value, refused on its own terms
+    assert run(capsys, *_THERMO, "--tmin", "-1") == (
+        2, "", "error: need 0 < tmin < tmax, both finite\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("spectrum", "--nu1", "-0.5"),
     (*_THERMO, "--nu2", "-0.9"),
@@ -337,6 +353,9 @@ _FIGURE = ("figure", "--figure", "2a")
     ("spectrum", "--nu1", "1e300"),
     (*_THERMO, "--ell", "1e150"),
     (*_FIGURE, "--ell", "1e150"),
+    # subnormal temperatures: 1/tau overflows
+    (*_THERMO, "--tmin", "1e-320", "--tmax", "1e-319", "--steps", "3"),
+    (*_FIGURE, "--tmin", "1e-320", "--tmax", "1e-319", "--steps", "3"),
 ], ids=lambda argv: " ".join(argv))
 def test_usage_errors_are_reported_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "out"

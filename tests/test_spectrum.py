@@ -121,12 +121,10 @@ def test_zeeman_split_is_two_eta():
 
 
 def test_radical_identity_examples():
-    lhs, rhs = radical_identity_check(1, 1, NU44)
-    assert lhs == pytest.approx(2.8, rel=1e-15) and rhs == pytest.approx(2.8)
-    lhs, rhs = radical_identity_check(F(1, 2), -1, NU4m4)
-    assert lhs == pytest.approx(1.0, rel=1e-14) and rhs == pytest.approx(1.0)
-    lhs, rhs = radical_identity_check(2, 1, NU0)
-    assert lhs == 4.0 and rhs == 4.0
+    # both sides D^2 + lam^2 and (2 ell + nu1 + nu2)^2, exact
+    assert radical_identity_check(1, 1, NU44) == (F(196, 25), F(196, 25))
+    assert radical_identity_check(F(1, 2), -1, NU4m4) == (1, 1)
+    assert radical_identity_check(2, 1, NU0) == (16, 16)
 
 
 def test_radical_identity_on_grid():
@@ -134,7 +132,7 @@ def test_radical_identity_on_grid():
         for epsilon, ells in ((1, sector_ells(1, 5)), (-1, sector_ells(-1, 5))):
             for ell in ells:
                 lhs, rhs = radical_identity_check(ell, epsilon, params)
-                assert lhs == pytest.approx(rhs, rel=1e-12)
+                assert type(lhs) is type(rhs) is F and lhs == rhs
 
 
 # ---------------------------------------------------------------- hyp1f1
@@ -343,12 +341,11 @@ def test_radial_parameters_are_the_rounded_exact_values():
 
 
 def test_radial_factor_rejects_a_broken_radical_identity(monkeypatch):
-    # D^2 + lam^2 = (2 ell + nu1 + nu2)^2 is checked in integers; a radicand
-    # one unit off breaks it
-    exact = spectrum._radicand_terms
-    monkeypatch.setattr(spectrum, "_radicand_terms",
-                        lambda ell, eps, params: (exact(ell, eps, params)[0] + 1,
-                                                  exact(ell, eps, params)[1]))
+    # D^2 + lam^2 = (2 ell + nu1 + nu2)^2 is checked exactly; a radicand one
+    # unit off breaks it
+    exact = spectrum.lambda_radicand
+    monkeypatch.setattr(spectrum, "lambda_radicand",
+                        lambda ell, eps, params: exact(ell, eps, params) + 1)
     with pytest.raises(ArithmeticError):
         radial_wavefunction(SectorState(1, 1, 1, 1, 1), NU44, 1.0)
     with pytest.raises(ArithmeticError):

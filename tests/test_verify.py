@@ -1,7 +1,12 @@
+import math
 import re
+from dataclasses import replace
+from fractions import Fraction as F
 from pathlib import Path
 
 from dunkl_pauli import angular, verify
+from dunkl_pauli.algebra import WignerParams
+from dunkl_pauli.angular import TrigPoly
 from dunkl_pauli.spectrum import SECTORS, lowest_ells
 from dunkl_pauli.verify import SuiteResult
 
@@ -62,6 +67,57 @@ def test_angular_suite_builds_each_basis_and_image_once(monkeypatch):
     cases = len(verify.NU_GRID) * sum(map(len, ells))
     assert (res.passed, res.failed) == (2 * n_funcs + 3 * cases, 0)
     assert calls == {"sector_basis": cases, "apply_G": 3 * n_funcs + 2 * cases}
+
+
+def test_the_residual_bound_fails_a_perturbed_weight(monkeypatch):
+    # w2 off by 1e-9 relative in both branches, so they stay conjugate: only
+    # that case's residual check fails, and it names the case
+    exact = verify.angular_eigenpairs
+    params = WignerParams(F(1, 5), F(-2, 5))
+    case = (F(3), (-1, -1), params)
+
+    def perturbed(ell, sector, params):
+        pairs = exact(ell, sector, params)
+        if (ell, sector, params) != case:
+            return pairs
+        return tuple(replace(p, weights=(p.weights[0], p.weights[1] * (1 + 1e-9)))
+                     for p in pairs)
+
+    monkeypatch.setattr(verify, "angular_eigenpairs", perturbed)
+    res = verify.run_angular_suite(n_funcs=0)
+    assert (res.passed, res.failed) == (1499, 1)
+    (message,) = res.counterexamples
+    head = f"G Theta != -i lam Theta at ell=3, sector=(-1,-1), nu={params}: resid "
+    assert message.startswith(head)
+    lam = exact(*case)[0].lam
+    assert float(message[len(head):]) > 1e-11 * abs(lam)
+
+
+def test_the_residual_bound_covers_the_exact_residual_at_sampled_angles():
+    # on each of the suite's 500 cases the all-theta bound is at least
+    # |G Theta + i lam Theta| of the float eigenpair, built exactly from
+    # apply_G and evaluated exactly at the (cos, sin) doubles of the 36
+    # angles the suite once sampled.  The float residual there can exceed
+    # the bound by its own rounding (about 1e-17; the bound is 0 where the
+    # float eigenpair is exact), so it is not the reference.
+    angles = [tuple(map(F, (math.cos(t), math.sin(t))))
+              for t in (0.1 + 0.17 * k for k in range(36))]
+    cases = 0
+    for nu in verify.NU_GRID:
+        params = WignerParams(*nu)
+        for sector in SECTORS:
+            for ell in lowest_ells(sector[0] * sector[1], 5):
+                pair = verify.angular_eigenpairs(ell, sector, params)[0]
+                lam, bound = F(pair.lam), verify._residual_bound(pair)
+                re, im = TrigPoly(), TrigPoly()
+                for w, f in zip(pair.weights, pair.basis):
+                    g, r, i = angular.apply_G(f, params), F(w.real), F(w.imag)
+                    re, im = re + g * r - f * (lam * i), im + g * i + f * (lam * r)
+                for c, s in angles:
+                    x, y = (p.even.evaluate(c) + s * p.odd.evaluate(c) for p in (re, im))
+                    assert x * x + y * y <= bound * bound, (ell, sector, params)
+                cases += 1
+    assert cases == 500
 
 
 def test_verify_report_matches_the_pinned_text(verify_run):
