@@ -16,8 +16,7 @@ content/primitive-part form of Geddes, Czapor & Labahn, Algorithms for
 Computer Algebra, 1992).  Arithmetic works on the integers and reduces once
 per result, so equality is exact rational equality and the operator
 identities hold with zero tolerance.  Coefficients are handed out as
-fractions.Fraction; float evaluation uses float coefficients computed once
-per polynomial.
+fractions.Fraction; float evaluation uses the correctly rounded n/den.
 
 Eigenfunctions for the eigenvalue lam of i*G are built per sector from a
 two-dimensional candidate space spanned by f1 = A(c), which has only an even
@@ -45,24 +44,23 @@ class Poly1:
     Stored as integer numerators over one positive denominator, in canonical
     form: no trailing zero numerator, the numerators and the denominator are
     coprime, and the zero polynomial has denominator 1.  Float evaluation
-    uses the coefficients n/den, computed once per instance; int/int true
-    division is correctly rounded, so they equal float(Fraction(n, den)).
+    uses the coefficients n/den; int/int true division is correctly rounded,
+    so they equal float(Fraction(n, den)).
     """
 
-    __slots__ = ("_n", "_d", "_f")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs=()):
         fracs = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
         den = math.lcm(*[v.denominator for v in fracs])
         self._n, self._d = _canonical(
             [v.numerator * (den // v.denominator) for v in fracs], den)
-        self._f = None
 
     @classmethod
     def _raw(cls, nums: tuple[int, ...], den: int) -> "Poly1":
         """Wrap numerators already in canonical form."""
         p = object.__new__(cls)
-        p._n, p._d, p._f = nums, den, None
+        p._n, p._d = nums, den
         return p
 
     @classmethod
@@ -192,12 +190,9 @@ class Poly1:
                 acc = acc * p + x * qk
                 qk *= q
             return Fraction(acc * q, self._d * qk)
-        if self._f is None:
-            d = self._d
-            self._f = tuple([x / d for x in self._n])
         acc = 0 * v
-        for c in reversed(self._f):
-            acc = acc * v + c
+        for x in reversed(self._n):
+            acc = acc * v + x / self._d
         return acc
 
     def __eq__(self, other):
@@ -427,7 +422,7 @@ def lambda_value(ell, epsilon: int, branch: int, params: WignerParams) -> float:
     num, den = _radicand_terms(ell, epsilon, params)
     if num < 0:
         raise ValueError(f"negative radicand {Fraction(num, den)} for ell={ell}")
-    return branch * math.sqrt(num / den)
+    return branch * math.sqrt(num / den) if num else 0.0  # never -0.0
 
 
 def _ratio(p: Poly1, q: Poly1) -> Fraction:

@@ -314,11 +314,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse with single-line machine-parsable errors and exit code 2.
     '-' or '-.' before a digit starts a value, as in --nu1 -2/5 or --nu2 -1e-1
-    (no option starts with a digit); argparse on 3.11 takes only decimals so."""
+    (no option starts with a digit); argparse on 3.11 takes only decimals so.
+    So are -inf, -infinity and -nan in any case, as float() reads them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"-(\.?\d|(?i:inf|infinity|nan)$)")
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

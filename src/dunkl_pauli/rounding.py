@@ -11,22 +11,23 @@ and returns for each element the double nearest to that exact value (ties
 to even), that is the correctly rounded result, which every IEEE-754
 platform reproduces bit for bit.
 
-The method is Ziv's (A. Ziv, ACM TOMS 17(3), 1991):
+The method is Ziv's (A. Ziv, ACM TOMS 17(3), 1991), in two steps:
 
-1. **Fast path**, vectorised: double-double numbers (Dekker, Numer. Math.
+1. **Fast test**, vectorised: double-double numbers (Dekker, Numer. Math.
    18, 1971) computed only with ``+ - * /``, ``rint``, ``ldexp`` and table
    look-ups on float64 arrays, which IEEE 754 fixes bit for bit, so the
    result does not depend on libm or on numpy's SIMD dispatch.  libm's
    ``log1p`` only seeds one Newton step, whose error is bounded from its
    computed residual.  Every number carries a rigorous bound on its absolute
    error; each operation adds its own proved rounding error (the constants
-   below) to the errors it propagates.
-2. **Rounding test**: a value is emitted only if every real number within
-   its error bound rounds to the same double.
-3. **Fallback** for the values that fail the test: the same closed form in
-   ``decimal`` arithmetic, whose ``exp``, ``ln`` and ``log10`` are correctly
-   rounded, with the same kind of error bound, at 40, 80, ... digits up to
-   a cap; past the cap it raises ``ValueError``.
+   below) to the errors it propagates.  A value is emitted only if every
+   real number within its error bound rounds to the same double.
+2. **Decimal fallback** (:func:`settle`), the one exact decision, for every
+   value that fails the test: the same closed form in ``decimal``
+   arithmetic, whose ``exp``, ``ln`` and ``log10`` are correctly rounded,
+   with the same kind of error bound, at 40, 80, ... digits up to a cap;
+   the ends of its interval, clamped in ``_ends``, are rounded in exact
+   rational arithmetic.  Past the cap it raises ``ValueError``.
 
 Bounds are computed in double precision with ``|hi|`` standing in for the
 magnitude of a value.  Each such step can understate a bound by a factor of
@@ -522,36 +523,23 @@ def _to_double(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-# Beyond these magnitudes an interval end is replaced by +/-_FAR or
-# +/-_NEAR: the exact parts are doubles, so their sum is a multiple of
-# 2**-1075 below 2**1025 in size, and the sum plus any end in one of those
-# ranges rounds as it does with the replacement.  It keeps the exact
-# arithmetic small.
-_FAR, _NEAR = Fraction(10) ** 400, Fraction(10) ** -400
+def _ends(t: _Dec) -> tuple[Fraction, Fraction]:
+    """t's interval [v - err, v + err], widened to ``prec + 10`` digits.
 
-
-def _clamp(v: Fraction) -> Fraction:
-    if v and abs(v) < _NEAR:
-        return _NEAR if v > 0 else -_NEAR
-    return max(-_FAR, min(_FAR, v))
-
-
-def _round_interval(exact, lo: Fraction, hi: Fraction) -> float | None:
-    """The double that every number in [sum(exact) + lo, sum(exact) + hi]
-    rounds to, or None if there is none; exact arithmetic."""
-    base = sum(map(Fraction, exact), Fraction(0))
-    a, b = _to_double(base + _clamp(lo)), _to_double(base + _clamp(hi))
-    if a == b and math.copysign(1.0, a) == math.copysign(1.0, b):
-        return a
-    return None
-
-
-def _ends(t: _Dec):
-    """t's interval [v - err, v + err], widened to ``prec + 10`` digits."""
+    An end of decimal exponent 450 or more becomes +/-10**500, one of -450
+    or less +/-10**-500: the exact parts are doubles, so their sum is a
+    multiple of 2**-1075 below 2**1025 in size, and the sum plus any end in
+    one of those ranges rounds as it does with the replacement.  It keeps
+    the exact arithmetic small."""
     prec = t.num.ctx.prec + 10
     down = Context(prec=prec, rounding=ROUND_FLOOR, Emax=MAX_EMAX, Emin=MIN_EMIN)
     up = Context(prec=prec, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return down.subtract(t.v, t.err), up.add(t.v, t.err)
+    ends = []
+    for v in (down.subtract(t.v, t.err), up.add(t.v, t.err)):
+        if v and not -450 < v.adjusted() < 450:
+            v = Decimal(1).scaleb(500 if v.adjusted() > 0 else -500).copy_sign(v)
+        ends.append(Fraction(v))
+    return tuple(ends)
 
 
 class Unsettled(ValueError):
@@ -569,54 +557,37 @@ def settle(terms, *args: float) -> float:
     for prec in _PRECISIONS:
         exact, t = terms(_Exact(prec), *args)
         if t.v.is_finite() and t.err.is_finite():
-            lo, hi = (_clamp_decimal(v) for v in _ends(t))
-            value = _round_interval(exact, lo, hi)
-            if value is not None:
-                return value
+            # the double that every number in the interval rounds to, if any
+            base = sum(map(Fraction, exact), Fraction(0))
+            a, b = (_to_double(base + end) for end in _ends(t))
+            if a == b and math.copysign(1.0, a) == math.copysign(1.0, b):
+                return a
     raise ValueError(f"no correctly rounded value at {', '.join(map(repr, args))} "
                      f"within {_PRECISIONS[-1]} digits")
 
 
-def _clamp_decimal(v: Decimal) -> Fraction:
-    """Fraction(v), with v's exponent first brought within _clamp's range."""
-    if v and not -450 < v.adjusted() < 450:
-        v = Decimal(1).scaleb(500 if v.adjusted() > 0 else -500).copy_sign(v)
-    return Fraction(v)
-
-
 def _rounded(exact, t: _DD):
-    """(hi, ok, radius) for the value sum(exact) + t: ok where every number
-    within the error bound of hi + lo is nearer to hi than half the smaller
-    gap to its neighbours, so that it rounds to hi; radius bounds the error
-    of t alone."""
-    radius = t.err * _INFLATE + _FLOOR
-    v = _DD(t.hi, t.lo, radius)
+    """(hi, ok) for the value sum(exact) + t: ok where every number within
+    the error bound of hi + lo is nearer to hi than half the smaller gap to
+    its neighbours, so that it rounds to hi."""
+    v = _DD(t.hi, t.lo, t.err * _INFLATE + _FLOOR)
     for c in exact:
         v = v + c
     a = abs(v.hi)
     gap = np.minimum(a - np.nextafter(a, 0.0), np.nextafter(a, np.inf) - a)
     ok = abs(v.lo) + (v.err * _INFLATE + _FLOOR) < gap * (0.5 - 2.0 ** -42)
-    return v.hi, ok, radius
-
-
-def _finish(terms, args, exact, parts, radius: float) -> float:
-    """A value that failed the fast rounding test: the exact interval test
-    on the fast path's result, else the decimal fallback at ``args``."""
-    value = None
-    if all(map(math.isfinite, (*parts, radius))):
-        mid = Fraction(parts[0]) + Fraction(parts[1])
-        value = _round_interval(exact, mid - Fraction(radius),
-                                mid + Fraction(radius))
-    return value if value is not None else settle(terms, *args)
+    return v.hi, ok
 
 
 def _round_point(terms, args) -> float:
+    """The fast test at one point, else the decimal fallback."""
     try:
-        exact, t = terms(_Floats, *args)
-        hi, ok, radius = _rounded(exact, t)
+        hi, ok = _rounded(*terms(_Floats, *args))
+        if ok:
+            return hi
     except (ArithmeticError, ValueError):
-        return settle(terms, *args)
-    return hi if ok else _finish(terms, args, exact, (t.hi, t.lo), radius)
+        pass
+    return settle(terms, *args)
 
 
 def _fill(out: list, indices, value) -> list:
@@ -646,8 +617,6 @@ def round_curve(terms, *args) -> list[float]:
     with np.errstate(all="ignore"):
         exact, t = terms(_Arrays, *args)
         t = _DD(*(np.broadcast_to(f, args[0].shape) for f in (t.hi, t.lo, t.err)))
-        hi, ok, radius = _rounded(exact, t)
-    exact = [np.broadcast_to(c, args[0].shape) for c in exact]
-    return _fill(hi.tolist(), np.flatnonzero(~ok).tolist(), lambda i: _finish(
-        terms, [float(a[i]) for a in args], [float(c[i]) for c in exact],
-        (float(t.hi[i]), float(t.lo[i])), float(radius[i])))
+        hi, ok = _rounded(exact, t)
+    return _fill(hi.tolist(), np.flatnonzero(~ok).tolist(),
+                 lambda i: settle(terms, *(float(a[i]) for a in args)))

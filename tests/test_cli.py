@@ -68,11 +68,12 @@ def test_spectrum_empty_enumeration_is_header_only(capsys):
 
 
 def test_spectrum_explicit_ell_zero_mode(capsys):
-    code, out, _ = run(capsys, "spectrum", "--sector", "++", "--ell", "0",
-                       "--nmax", "0")
-    assert code == 0
-    rows = csv_rows(out)
-    assert [float(r["lambda"]) for r in rows] == [0.0, 0.0]
+    # the constant mode has lambda +0.0 on both branches, never -0.0
+    for branch in ("+", "-"):
+        code, out, _ = run(capsys, "spectrum", "--sector", "++", "--ell", "0",
+                           "--nmax", "0", "--branch", branch)
+        assert code == 0
+        assert [r["lambda"] for r in csv_rows(out)] == ["0", "0"]
 
 
 def test_spectrum_invalid_combination_exits_2(capsys):
@@ -307,9 +308,15 @@ def test_a_negative_value_needs_no_equals_sign(tmp_path, capsys, spaced, joined)
     for argv, out in zip((spaced, joined), outs):
         assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    # a negative temperature is still a value, refused on its own terms
+    # a negative temperature, infinity or NaN is still a value, refused on
+    # its own terms, as in the = spelling
     assert run(capsys, *_THERMO, "--tmin", "-1") == (
         2, "", "error: need 0 < tmin < tmax, both finite\n")
+    for option, value in (("--nu1", "-inf"), ("--ell", "-nan"),
+                          ("--tmin", "-inf"), ("--tmin", "-Infinity")):
+        got = run(capsys, *_THERMO, option, value)
+        assert got == run(capsys, *_THERMO, f"{option}={value}")
+        assert got[:2] == (2, "") and "expected one argument" not in got[2]
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,7 +32,7 @@ def ref_lambda(ell, epsilon, branch, params):
     rad = ref_radicand(ell, epsilon, params)
     if rad < 0:
         raise ValueError(f"negative radicand {rad} for ell={ell}")
-    return branch * math.sqrt(float(rad))
+    return branch * math.sqrt(float(rad)) if rad else 0.0  # +0.0, never -0.0
 
 
 def ref_eta(eps1, eps2, params):

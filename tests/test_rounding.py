@@ -11,6 +11,7 @@ point by point), the scalar functions and the decimal fallback.
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import random
 import subprocess
@@ -131,6 +132,22 @@ def test_decimal_fallback_raises_at_its_precision_cap(monkeypatch):
     monkeypatch.setattr(rounding, "_PRECISIONS", (4, 8))
     with pytest.raises(ValueError, match="within 8 digits"):
         rounding.settle(terms, 2.5, 0.8, 0.3)
+
+
+def _negated_pow10_terms(num, y):
+    return (), -thermo._pow10_terms(num, y)[1]
+
+
+@pytest.mark.parametrize("y, value", [
+    (400, math.inf), (308.5, math.inf), (1000, math.inf),
+    (-400, 0.0), (-1000, 0.0), (-323.5, 5e-324)])
+def test_decimal_fallback_rounds_values_beyond_the_double_range(y, value):
+    # 10**y above the largest double overflows, below half the smallest
+    # subnormal it is +0.0; |y| = 1000 puts both interval ends past the clamp
+    got = rounding.settle(thermo._pow10_terms, y)
+    assert got == value and math.copysign(1.0, got) == 1.0
+    got = rounding.settle(_negated_pow10_terms, y)  # the sign follows, of 0 too
+    assert got == -value and math.copysign(1.0, got) == -1.0
 
 
 def _cpu_features():
