@@ -404,6 +404,10 @@ def main(argv=None) -> int:
         # OverflowError: an option too large for a float, e.g. --nu1 1e400
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an --out that cannot be created or written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,13 +3,13 @@
 A closed form is written once as ``terms(num, *args) -> (exact, t)``.  Its
 value is ``sum(exact) + t``: ``exact`` is a tuple of doubles, summed without
 rounding, and ``t`` is built from ``num.const(a)``, the arguments, Python
-numbers, the operators ``+ - * /`` and ``num.exp``, ``num.log1p``,
-``num.ln2``, ``num.ln10``; ``num.choose(cond, f, g)`` picks a branch per
-element.  :func:`round_curve` evaluates it elementwise over broadcast
-argument arrays, so that many curves sharing one closed form take one call,
-and returns for each element the double nearest to that exact value (ties
-to even), that is the correctly rounded result, which every IEEE-754
-platform reproduces bit for bit.
+numbers, the operators ``+ - * /``, ``num.exp`` and ``num.log1p`` of one
+number each, and ``num.ln2``, ``num.ln10``; ``num.choose(cond, f, g)``
+picks a branch per element.  :func:`round_curve` evaluates it elementwise
+over broadcast argument arrays, so that many curves sharing one closed
+form take one call, and returns for each element the double nearest to
+that exact value (ties to even), that is the correctly rounded result,
+which every IEEE-754 platform reproduces bit for bit.
 
 The method is Ziv's (A. Ziv, ACM TOMS 17(3), 1991), in two steps:
 
@@ -188,7 +188,7 @@ def _constants() -> SimpleNamespace:
                            ln2=split(ln2), ln10=split(ctx.ln(10)))
 
 
-def _exp(a: _DD, xp) -> _DD:
+def _exp(xp, a: _DD) -> _DD:
     """exp(a) with relative error at most
 
         2**-100 (1 + |a|) + 2**-102 |r| + 3u |r|^3 + |r|^7/4096
@@ -233,7 +233,7 @@ def _exp(a: _DD, xp) -> _DD:
                xp.where(live, err, xp.where(gone, 2.0 ** -1070, math.inf)))
 
 
-def _log1p(w: _DD, xp) -> _DD:
+def _log1p(xp, w: _DD) -> _DD:
     """log(1 + w) for w > -1, relative error about 2**-82 or better.
 
     |w| < 2**-16: Taylor series to w**6, truncation below 2**-98 |w| and
@@ -256,7 +256,7 @@ def _log1p(w: _DD, xp) -> _DD:
 
     def newton():
         y0 = xp.seed_log1p(wh)
-        r = (1.0 + w) * _exp(_DD(-y0), xp) - 1.0
+        r = (1.0 + w) * xp.exp(_DD(-y0)) - 1.0
         rh = abs(r.hi)
         n = (_DD(y0) + r) - 0.5 * r.hi * r.hi
         n.err = n.err + xp.where(
@@ -269,10 +269,12 @@ def _log1p(w: _DD, xp) -> _DD:
 
 
 class _Path:
-    """Number constructors and functions of the fast path; ``_exp`` and
-    ``_log1p`` take the rest of a subclass as ``xp``."""
+    """Number constructors and functions of the fast path; ``exp`` and
+    ``log1p`` take one number and get the rest of a subclass as ``xp``."""
 
     const = _DD
+    exp = classmethod(_exp)
+    log1p = classmethod(_log1p)
 
     @staticmethod
     def ln2():
@@ -284,8 +286,8 @@ class _Path:
 
 
 class _Arrays(_Path):
-    """Fast path over float64 arrays: one vectorised call per function, all
-    its arguments batched together."""
+    """Fast path over float64 arrays: one vectorised call per function,
+    elementwise over its argument."""
 
     where = staticmethod(np.where)
     rint = staticmethod(np.rint)
@@ -309,14 +311,6 @@ class _Arrays(_Path):
     @functools.cache
     def tables():
         return [np.array(col) for col in _constants().tables]
-
-    @classmethod
-    def exp(cls, *args):
-        return _batched(lambda a: _exp(a, cls), args)
-
-    @classmethod
-    def log1p(cls, *args):
-        return _batched(lambda w: _log1p(w, cls), args)
 
 
 class _Floats(_Path):
@@ -344,27 +338,6 @@ class _Floats(_Path):
     @staticmethod
     def tables():
         return _constants().tables
-
-    @classmethod
-    def exp(cls, *args):
-        return tuple(_exp(a, cls) for a in args)
-
-    @classmethod
-    def log1p(cls, *args):
-        return tuple(_log1p(w, cls) for w in args)
-
-
-def _batched(fn, args):
-    """fn applied to all args in one vectorised call."""
-    n = len(args)
-    shape = np.broadcast_shapes(*(np.shape(f) for a in args
-                                  for f in (a.hi, a.lo, a.err)))
-    buf = np.empty((3, n) + shape)
-    for j, a in enumerate(args):
-        buf[0, j], buf[1, j], buf[2, j] = a.hi, a.lo, a.err
-    out = fn(_DD(*buf.reshape(3, -1)))
-    hi, lo, err = (f.reshape((n,) + shape) for f in (out.hi, out.lo, out.err))
-    return tuple(_DD(hi[j], lo[j], err[j]) for j in range(n))
 
 
 # --------------------------------------------------------------- decimal fallback
@@ -457,46 +430,34 @@ class _Exact:
 
     choose = staticmethod(_Floats.choose)
 
-    def exp(self, *args):
-        out = []
-        for a in args:
-            if not a.err <= 1:
-                out.append(_Dec(Decimal(0), _INF, self))
-                continue
-            v = self.ctx.exp(a.v)
-            if v.adjusted() < MIN_EMIN // 2:  # may have underflowed
-                out.append(_Dec(v, _INF, self))
-                continue
-            # |exp(a + d) - exp(a)| <= exp(a)(d + d*d) <= 2|v|(d + d*d)
-            spread = _UP.multiply(_UP.multiply(2, v.copy_abs()),
-                                  _up(a.err, _UP.multiply(a.err, a.err)))
-            out.append(_Dec(v, _up(spread, _UP.multiply(v.copy_abs(), self.rel)),
-                            self))
-        return tuple(out)
+    def exp(self, a: _Dec) -> _Dec:
+        if not a.err <= 1:
+            return _Dec(Decimal(0), _INF, self)
+        v = self.ctx.exp(a.v)
+        if v.adjusted() < MIN_EMIN // 2:  # may have underflowed
+            return _Dec(v, _INF, self)
+        # |exp(a + d) - exp(a)| <= exp(a)(d + d*d) <= 2|v|(d + d*d)
+        spread = _UP.multiply(_UP.multiply(2, v.copy_abs()),
+                              _up(a.err, _UP.multiply(a.err, a.err)))
+        return _Dec(v, _up(spread, _UP.multiply(v.copy_abs(), self.rel)), self)
 
-    def log1p(self, *args):
-        out = []
-        for w in args:
-            if not w.err < Decimal("0.25"):
-                out.append(_Dec(Decimal(0), _INF, self))
-                continue
-            if w.v.adjusted() < -2 * self.ctx.prec:
-                # |log1p(w) - w| <= w**2 for |w| <= 1/2
-                big = _up(w.v.copy_abs(), w.err)
-                out.append(_Dec(w.v, _up(_UP.multiply(big, big), w.err), self))
-                continue
-            # 1 + w without rounding, then one correctly rounded ln
-            digits = 2 + max(0, w.v.adjusted()) - min(0, w.v.as_tuple().exponent)
-            one_w = Context(prec=digits + 2, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                            traps=[Inexact]).add(1, w.v)
-            den = _DOWN.subtract(one_w, w.err)
-            if not den > 0:
-                out.append(_Dec(Decimal(0), _INF, self))
-                continue
-            v = self.ctx.ln(one_w)
-            out.append(_Dec(v, _up(_UP.divide(w.err, den),
-                                   _UP.multiply(v.copy_abs(), self.rel)), self))
-        return tuple(out)
+    def log1p(self, w: _Dec) -> _Dec:
+        if not w.err < Decimal("0.25"):
+            return _Dec(Decimal(0), _INF, self)
+        if w.v.adjusted() < -2 * self.ctx.prec:
+            # |log1p(w) - w| <= w**2 for |w| <= 1/2
+            big = _up(w.v.copy_abs(), w.err)
+            return _Dec(w.v, _up(_UP.multiply(big, big), w.err), self)
+        # 1 + w without rounding, then one correctly rounded ln
+        digits = 2 + max(0, w.v.adjusted()) - min(0, w.v.as_tuple().exponent)
+        one_w = Context(prec=digits + 2, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                        traps=[Inexact]).add(1, w.v)
+        den = _DOWN.subtract(one_w, w.err)
+        if not den > 0:
+            return _Dec(Decimal(0), _INF, self)
+        v = self.ctx.ln(one_w)
+        return _Dec(v, _up(_UP.divide(w.err, den),
+                           _UP.multiply(v.copy_abs(), self.rel)), self)
 
     def log10(self, a: _Dec) -> _Dec:
         """log10 of a positive value; |d log10| <= |da| / a since ln 10 > 1."""

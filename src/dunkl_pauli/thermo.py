@@ -45,7 +45,7 @@ MODES = ("consistent", "paper-faithful")
 @dataclass(frozen=True)
 class ThermoInputs:
     """Dimensionless evaluation point: x = beta*omega_c plus the ladder's
-    (rho, eta) and the evaluation mode."""
+    (rho, eta), all three finite, and the evaluation mode."""
 
     x: float
     rho: float
@@ -53,6 +53,9 @@ class ThermoInputs:
     mode: str = "consistent"
 
     def __post_init__(self):
+        for name, v in (("x", self.x), ("rho", self.rho), ("eta", self.eta)):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not self.x > 0:
             raise ValueError(f"x = beta*omega_c must be positive, got {self.x}")
         if self.mode not in MODES:
@@ -79,10 +82,10 @@ def partition(inputs: ThermoInputs) -> float:
 def direct_sum_partition(x: float, rho: float, eta: float) -> float:
     """Oracle Z: literal sum of exp(-x*E_n) over n <= n_max and m_s = +/-1,
     n_max the smallest value whose geometric tail is below 1e-14 relative to
-    the sum.  ValueError for x <= 0, and where that n_max is impractical.
+    the sum.  ValueError for a non-finite argument, for x <= 0, and where
+    that n_max is impractical.
     """
-    if not x > 0:
-        raise ValueError(f"x must be positive, got {x}")
+    ThermoInputs(x, rho, eta)  # the same checks of x, rho and eta
     # tail over n > N, relative to Z:  <= exp(-x(N+1)) / (1 - exp(-x))
     n_max = max(math.ceil((-math.log(1e-14) - math.log(-math.expm1(-x))) / x), 1)
     if n_max > 10_000_000:
@@ -181,17 +184,16 @@ def _curve_terms(quantity: str, mode: str):
     def terms(num, x, rho, e):
         X = num.const(x)
         Y = X * e
-        extra = (Y - X * rho - 0.5 * X,) if quantity == "Z" else ()
-        q, p, *g = num.exp(-X, -2 * Y, *extra)
+        q, p = num.exp(-X), num.exp(-2 * Y)
         omq, opp = 1 - q, 1 + p
         if quantity == "Z":
-            return (), g[0] * opp / omq
+            return (), num.exp(Y - X * rho - 0.5 * X) * opp / omq
         if quantity == "C":
             return (), X * X * q / (omq * omq) + 4 * Y * Y * p / (opp * opp)
         if quantity == "U":
             sign = 1.0 if mode == "consistent" else -1.0
             return (sign * rho, 0.5, -e), q / omq + p * (2 * e) / opp
-        lq, lp = num.log1p(-q, p)
+        lq, lp = num.log1p(-q), num.log1p(p)
         if quantity == "log Z":
             t = lp - lq
             d, d_err = _two_sum(e, -rho)  # e - rho exactly
@@ -251,7 +253,7 @@ def sweep(quantity: str, template: ThermoInputs, tau_grid) -> ThermoCurve:
 
 
 def _pow10_terms(num, y):
-    return (), num.exp(num.const(y) * num.ln10())[0]
+    return (), num.exp(num.const(y) * num.ln10())
 
 
 def log_grid(t_min: float, t_max: float, steps: int) -> tuple[float, ...]:

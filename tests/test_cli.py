@@ -400,6 +400,26 @@ def test_a_ladder_the_thermo_kernel_cannot_evaluate_is_named(tmp_path, capsys, a
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, target", [
+    (("spectrum",), "dir"),
+    (("figure", "--figure", "2a", "--steps", "4"), "file"),
+    ((*_THERMO, "--steps", "4"), "file/x.csv"),
+    (("verify", "--skip-oracle"), "dir"),
+], ids=["spectrum-dir", "figure-file", "thermo-under-file", "verify-dir"])
+def test_an_unwritable_out_is_reported_in_one_line(tmp_path, capsys, argv, target):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_a_non_finite_ladder_is_named(capsys):
+    # nu1 = 1e300 gives rho = inf: a bad input, not a precision limit
+    code, stdout, err = run(capsys, *_THERMO, "--nu1", "1e300")
+    assert (code, stdout, err) == (2, "", "error: rho must be finite, got inf\n")
+
+
 # ---------------------------------------------------------------- imports
 
 def test_cli_import_does_not_load_scipy_integrate():

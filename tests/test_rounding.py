@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from dunkl_pauli import rounding, thermo
+from dunkl_pauli.cli import main as cli_main
 from dunkl_pauli.thermo import (MODES, QUANTITIES, ThermoInputs, entropy,
                                 log_grid, log_partition, sweep)
 
@@ -148,6 +149,17 @@ def test_decimal_fallback_rounds_values_beyond_the_double_range(y, value):
     assert got == value and math.copysign(1.0, got) == 1.0
     got = rounding.settle(_negated_pow10_terms, y)  # the sign follows, of 0 too
     assert got == -value and math.copysign(1.0, got) == -1.0
+
+
+def test_paper_faithful_bundle_matches_its_pins(tmp_path):
+    for fig in range(1, 9):
+        assert cli_main(["figure", "--figure", str(fig), "--mode",
+                         "paper-faithful", "--out", str(tmp_path)]) == 0
+    pinned = json.loads((ROOT / "tests" / "data" /
+                         "figure_checksums_paper_faithful.json").read_text())
+    produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in tmp_path.glob("*.csv")}
+    assert produced == pinned
 
 
 def _cpu_features():

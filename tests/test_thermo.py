@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -24,6 +25,18 @@ def test_inputs_validation():
         ThermoInputs(-1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         ThermoInputs(1.0, 1.0, 0.5, mode="exact")
+
+
+@pytest.mark.parametrize("field", ["x", "rho", "eta"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_are_refused_by_name(field, bad):
+    # a bad ladder is refused on construction, not reported later as a
+    # value the decimal fallback cannot settle
+    args = {"x": 1.0, "rho": 1.0, "eta": 0.5, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ThermoInputs(**args)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        direct_sum_partition(**args)
 
 
 def test_partition_undeformed_value():
@@ -357,3 +370,27 @@ def test_an_unsettled_point_names_its_position(monkeypatch):
         sweeps("F", templates, grid)
     assert isinstance(exc.value, ValueError)
     assert exc.value.index // len(grid) == 1
+
+
+# 80 float64 arrays of a nine-curve, 400-point panel
+PANEL_ARRAYS = 80 * 9 * 400 * 8
+
+
+@pytest.mark.parametrize("quantity", sorted(QUANTITIES))
+def test_a_panel_sweep_keeps_few_panel_sized_arrays_alive(quantity):
+    # each exp and log1p of a closed form is its own vectorised call, so its
+    # temporaries die when it returns
+    grid = log_grid(0.01, 10.0, 400)
+    templates = [ThermoInputs(1.0, 0.3 * k, 0.1 * k) for k in range(1, 10)]
+    sweeps(quantity, templates, grid)  # warm-up: the kernel's constant tables
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        sweeps(quantity, templates, grid)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < PANEL_ARRAYS, f"{quantity}: {peak / 1e6:.2f} MB"
