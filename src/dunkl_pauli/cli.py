@@ -10,8 +10,10 @@ flags are byte-identical.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -295,6 +297,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
         files[f"fig{args.fig_num}{panel}_manifest.json"] = json.dumps(
             manifest, indent=2, sort_keys=True) + "\n"
     out_dir = Path(args.out or "figures")
+    # a target that is a directory or a read-only file fails before the first
+    # write, so it leaves no partial bundle either
+    for target in map(out_dir.joinpath, files):
+        code = (errno.EISDIR if target.is_dir() else errno.EACCES
+                if target.exists() and not os.access(target, os.W_OK) else 0)
+        if code:
+            raise OSError(code, os.strerror(code), str(target))
     out_dir.mkdir(parents=True, exist_ok=True)
     for fname, text in files.items():
         (out_dir / fname).write_text(text, encoding="utf-8", newline="\n")
@@ -303,6 +312,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
+    if args.out:  # an --out that cannot be written fails before the suites run
+        _write_text(args.out, "")
     report = verify.run_all(skip_oracle=args.skip_oracle)
     text = verify.format_report(report)
     if args.out:

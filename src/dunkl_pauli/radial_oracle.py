@@ -27,10 +27,19 @@ an O(h^2) error, which Richardson extrapolation between the steps h and h/2
 removes.  Nothing here reuses the closed-form energy algebra, so agreement
 with it is a genuine cross-check.
 
-The spin enters V only through the Zeeman term, a constant in r, so the two
-spins' spectra differ by that constant alone: validate_sector makes one
-solve per ell, at m_s = +1, and gives m_s = -1 the same spectrum shifted by
-half the difference of the two Zeeman terms.
+A sector enters the matrix only through eps = eps1 eps2 and the Zeeman term,
+a constant in r, and the spin only through the Zeeman term.  So ++ and --
+share one matrix up to that constant, and so do +- and -+: validate_sectors
+makes one solve per (eps, ell), at m_s = +1, and shifts its levels by half
+the difference of the Zeeman terms for every (sector, spin) of that parity.
+
+The fine solve bisects (vl, vu] built from what the oracle already has.  vl
+is the potential's floor lam - zeeman less a margin of 1: the matrix less
+diag(v_rest) is D^-1 (L/h^2 + kappa^2) D^-1, D = diag(r), and L (L_00 = 2 -
+exp(-kappa h) >= 1) is positive definite; the margin dwarfs the eps*||A|| ~
+2e-4 that rounding of the entries can move a level.  vu is the coarse top
+level plus half its spacing.  Without it LAPACK first searches the
+Gershgorin interval, about +/-1e12 wide on this matrix graded as 1/r^2.
 """
 
 from __future__ import annotations
@@ -106,26 +115,37 @@ def build_tridiagonal(problem: RadialProblem, n: int):
     return a / r ** 2 + v_rest, -1.0 / (h ** 2 * r[:-1] * r[1:])
 
 
-def lowest_eigenvalues(matrix, k: int):
+def lowest_eigenvalues(matrix, k: int, bracket=None):
     """k smallest eigenvalues of the symmetric tridiagonal (diag, off) pair,
     ascending, via LAPACK bisection on Sturm sequences to absolute 1e-13.
     The default tolerance, eps*||A||, is about 1e-4 on the log-grid matrix,
     whose norm is set by the nodes nearest the origin: larger than the
-    discretization error that oracle_energies extrapolates away."""
+    discretization error that oracle_energies extrapolates away.  A bracket
+    (vl, vu] with vl below the spectrum is bisected for its first k levels;
+    if it holds fewer, or k = 1, the full range is searched instead."""
     if k > 10:
         raise ValueError(f"at most 10 eigenvalues supported, got k={k}")
-    diag, off = matrix
-    return eigh_tridiagonal(np.asarray(diag, dtype=float),
-                            np.asarray(off, dtype=float), eigvals_only=True,
-                            select="i", select_range=(0, k - 1),
-                            lapack_driver="stebz", tol=1e-13)
+    diag, off = (np.asarray(a, dtype=float) for a in matrix)
+    bisect = dict(eigvals_only=True, lapack_driver="stebz", tol=1e-13)
+    if bracket is not None and k > 1:
+        vals = eigh_tridiagonal(diag, off, select="v", select_range=bracket,
+                                **bisect)
+        if len(vals) >= k:
+            return vals[:k]
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                            **bisect)
 
 
 def oracle_energies(problem: RadialProblem, n_max: int):
     """Oracle E/omega_c for n = 0..n_max: Richardson extrapolation of the
-    solves at GRID_POINTS and 2*GRID_POINTS + 1 nodes (step h and h/2)."""
-    coarse, fine = (lowest_eigenvalues(build_tridiagonal(problem, n), n_max + 1)
-                    for n in (GRID_POINTS, 2 * GRID_POINTS + 1))
+    solves at GRID_POINTS and 2*GRID_POINTS + 1 nodes (step h and h/2); the
+    coarse levels bracket the fine ones (module doc)."""
+    coarse = lowest_eigenvalues(build_tridiagonal(problem, GRID_POINTS), n_max + 1)
+    bracket = None if n_max == 0 else (
+        problem.lam - problem.zeeman - 1.0,
+        coarse[-1] + (coarse[-1] - coarse[-2]) / 2.0)
+    fine = lowest_eigenvalues(build_tridiagonal(problem, 2 * GRID_POINTS + 1),
+                              n_max + 1, bracket)
     return (4.0 * fine - coarse) / 3.0 / 2.0  # extrapolated 2E, halved
 
 
@@ -167,38 +187,42 @@ class SectorReport:
 ORACLE_TOLERANCE = 1e-7
 
 
+def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int,
+                     tolerance: float = ORACLE_TOLERANCE) -> list[SectorReport]:
+    """One report per sector: oracle eigenvalues (oracle_energies) against
+    the closed forms for every ell in ell_list, n <= n_max and both spins,
+    from one solve per (eps, ell) (module doc).  Uses the positive lam
+    branch.  A mismatch above tolerance is reported, never raised."""
+    reports = [SectorReport(eps1, eps2, params, tolerance)
+               for eps1, eps2 in sectors]
+    for ell in map(Fraction, ell_list):
+        solved = {}  # eps -> (the problem solved, its energies)
+        for report in reports:
+            eps1, eps2 = report.eps1, report.eps2
+            if eps1 * eps2 not in solved:
+                problem = RadialProblem.from_state(
+                    SectorState(eps1, eps2, 0, ell, 1), params)
+                solved[eps1 * eps2] = problem, oracle_energies(problem, n_max)
+            problem, energies = solved[eps1 * eps2]
+            for m_s in (1, -1):
+                oracle = energies + (problem.zeeman - replace(
+                    problem, eps1=eps1, eps2=eps2, m_s=m_s).zeeman) / 2.0
+                for n in range(n_max + 1):
+                    closed = energy_over_omega_c(
+                        SectorState(eps1, eps2, n, ell, m_s), params)
+                    report.rows.append(ComparisonRow(
+                        eps1, eps2, ell, n, m_s, float(oracle[n]), closed))
+    return reports
+
+
 def validate_sector(sector: tuple[int, int], params: WignerParams,
                     scale: OscillatorScale, ell_list, n_max: int,
                     config: None = None,
                     tolerance: float = ORACLE_TOLERANCE) -> SectorReport:
-    """Compare oracle eigenvalues (oracle_energies) with the closed forms for
-    every ell in ell_list, n <= n_max and both spins.
-
-    Both are E/omega_c, which does not depend on scale; the slot is kept,
-    like config, so positional callers still work.
-
-    One oracle solve per ell, at m_s = +1, serves both spins: the spin enters
-    the radial equation only through the Zeeman term, a constant in r, so the
-    m_s = -1 energies are the m_s = +1 ones shifted by half the difference of
-    the two Zeeman terms.  Uses the positive lam branch.
-
-    A mismatch above tolerance is reported in the returned object, never
-    raised.
-    """
-    # config: the retired grid setting, kept so positional callers still work
+    """validate_sectors for one sector.  The rows are E/omega_c, which does
+    not depend on scale; that slot and config, the retired grid setting, are
+    kept so positional callers still work."""
     if config is not None:
         raise TypeError("validate_sector takes no grid config; pass None")
-    eps1, eps2 = sector
-    report = SectorReport(eps1, eps2, params, tolerance)
-    for ell in ell_list:
-        ell = Fraction(ell)
-        up = RadialProblem.from_state(SectorState(eps1, eps2, 0, ell, 1), params)
-        energies = oracle_energies(up, n_max)
-        for m_s in (1, -1):
-            oracle = energies + (up.zeeman - replace(up, m_s=m_s).zeeman) / 2.0
-            for n in range(n_max + 1):
-                closed = energy_over_omega_c(SectorState(eps1, eps2, n, ell, m_s),
-                                             params)
-                report.rows.append(ComparisonRow(eps1, eps2, ell, n, m_s,
-                                                 float(oracle[n]), closed))
+    [report] = validate_sectors([sector], params, ell_list, n_max, tolerance)
     return report

@@ -31,9 +31,9 @@ from .algebra import (BivarPoly, WignerParams, X1, X2, angular_momentum_action,
 from .angular import (Poly1, TrigPoly, angular_eigenpair, angular_eigenpairs,
                       apply_B, apply_G, jacobi, lambda_radicand,
                       restrict_to_circle)
-from .spectrum import (SECTORS, OscillatorScale, SectorState,
-                       energy_over_omega_c, energy_sector_form, eta, hyp1f1,
-                       lowest_ells, radical_identity_check, rho)
+from .spectrum import (SECTORS, SectorState, energy_over_omega_c,
+                       energy_sector_form, eta, hyp1f1, lowest_ells,
+                       radical_identity_check, rho)
 
 DEFAULT_SEED = 20240501
 
@@ -229,21 +229,23 @@ def run_oracle_suite() -> SuiteResult:
     """Finite-difference eigenvalues (radial_oracle's Richardson-extrapolated
     log grid) vs closed forms over the standard grid: 4 sectors x 4 nu pairs
     x first two ells x n <= 2 x both spins, each within ORACLE_TOLERANCE in
-    omega_c units."""
+    omega_c units.  A parity's two sectors share one solve per ell."""
     # imported here so that the exact suites (verify --skip-oracle) run
     # without scipy
-    from .radial_oracle import ORACLE_TOLERANCE, validate_sector
+    from .radial_oracle import ORACLE_TOLERANCE, validate_sectors
     t0 = time.monotonic()
     res = SuiteResult("radial oracle (finite-difference cross-check)")
-    for sector in SECTORS:
-        ells = lowest_ells(sector[0] * sector[1], 2)
-        for nu in ORACLE_NUS:
-            params = WignerParams(*nu)
-            report = validate_sector(sector, params, OscillatorScale(), ells, 2)
-            for row in report.rows:
-                res.check(row.deviation <= ORACLE_TOLERANCE,
-                          lambda: f"oracle deviation {row.deviation:g} at sector={sector}, "
-                          f"nu={params}, ell={row.ell}, n={row.n}, m_s={row.m_s}")
+    for nu in ORACLE_NUS:
+        params = WignerParams(*nu)
+        for epsilon in (1, -1):
+            sectors = [s for s in SECTORS if s[0] * s[1] == epsilon]
+            for report in validate_sectors(sectors, params,
+                                           lowest_ells(epsilon, 2), 2):
+                for row in report.rows:
+                    res.check(row.deviation <= ORACLE_TOLERANCE,
+                              lambda: f"oracle deviation {row.deviation:g} at "
+                              f"sector={(row.eps1, row.eps2)}, nu={params}, "
+                              f"ell={row.ell}, n={row.n}, m_s={row.m_s}")
     res.seconds = time.monotonic() - t0
     return res
 

@@ -414,6 +414,41 @@ def test_an_unwritable_out_is_reported_in_one_line(tmp_path, capsys, argv, targe
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["directory", "read-only"])
+def test_a_blocked_figure_target_leaves_no_partial_bundle(
+        tmp_path, capsys, monkeypatch, kind):
+    # the sector_mm file of panel 2a cannot be written: no other file is
+    blocking = tmp_path / "fig2a_Z_sector_mm.csv"
+    if kind == "directory":
+        blocking.mkdir()
+    else:
+        blocking.write_text("kept\n")
+        blocking.chmod(0o444)
+        # root may write a read-only file; the check asks os.access
+        real_access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: (
+            Path(path) != blocking and real_access(path, mode)))
+    code, stdout, err = run(capsys, "figure", "--figure", "2", "--steps", "4",
+                            "--out", str(tmp_path))
+    assert code == 2 and stdout == ""
+    assert err == f"error: cannot write {blocking}: " + (
+        "Is a directory\n" if kind == "directory" else "Permission denied\n")
+    assert list(tmp_path.iterdir()) == [blocking]
+
+
+def test_an_unwritable_verify_out_is_reported_before_the_suites_run(
+        tmp_path, capsys, monkeypatch):
+    from dunkl_pauli import verify
+
+    def run_all(*args, **kwargs):
+        pytest.fail("verify ran its suites before it checked --out")
+
+    monkeypatch.setattr(verify, "run_all", run_all)
+    code, stdout, err = run(capsys, "verify", "--out", str(tmp_path))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
 def test_a_non_finite_ladder_is_named(capsys):
     # nu1 = 1e300 gives rho = inf: a bad input, not a precision limit
     code, stdout, err = run(capsys, *_THERMO, "--nu1", "1e300")

@@ -10,7 +10,7 @@ from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.radial_oracle import (GRID_POINTS, ComparisonRow,
                                        RadialProblem, build_tridiagonal,
                                        lowest_eigenvalues, oracle_energies,
-                                       validate_sector)
+                                       validate_sector, validate_sectors)
 from dunkl_pauli.spectrum import (SECTORS, OscillatorScale, SectorState,
                                   energy_over_omega_c, lowest_ells)
 
@@ -123,9 +123,9 @@ def test_validate_sector_solves_once_per_ell(monkeypatch):
     # nodes) are the only eigen-solves
     calls = []
 
-    def counting(matrix, k):
+    def counting(matrix, k, bracket=None):
         calls.append(k)
-        return lowest_eigenvalues(matrix, k)
+        return lowest_eigenvalues(matrix, k, bracket)
 
     monkeypatch.setattr(radial_oracle, "lowest_eigenvalues", counting)
     ells = lowest_ells(1, 3)
@@ -148,6 +148,111 @@ def test_spin_down_rows_match_an_independent_solve(nu):
             shifted = [r.oracle for r in report.rows
                        if r.ell == ell and r.m_s == -1]
             assert shifted == pytest.approx(list(direct), abs=1e-11, rel=0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(k, bracket) of every lowest_eigenvalues call the oracle makes."""
+    calls = []
+
+    def recording(matrix, k, bracket=None):
+        calls.append((k, bracket))
+        return lowest_eigenvalues(matrix, k, bracket)
+
+    monkeypatch.setattr(radial_oracle, "lowest_eigenvalues", recording)
+    return calls
+
+
+def _partner(sector):
+    """The other sector of the same parity: ++ <-> --, +- <-> -+."""
+    return (-sector[0], -sector[1])
+
+
+@pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
+def test_partner_sector_rows_match_an_independent_solve(nu):
+    # validate_sectors solves the first sector of a parity and shifts its
+    # levels to the second; a solve of the second sector's own matrix, with
+    # its Zeeman term on the diagonal, must give the same levels
+    params = WignerParams(*nu)
+    for sector in ((1, 1), (1, -1)):
+        ells = lowest_ells(sector[0] * sector[1], 2)
+        first, second = validate_sectors([sector, _partner(sector)], params,
+                                         ells, 2)
+        assert (second.eps1, second.eps2) == _partner(sector)
+        assert len(first.rows) == len(second.rows) == 12
+        for ell in ells:
+            for m_s in (1, -1):
+                state = SectorState(*_partner(sector), 0, ell, m_s)
+                direct = oracle_energies(RadialProblem.from_state(state, params), 2)
+                shifted = [r.oracle for r in second.rows
+                           if r.ell == ell and r.m_s == m_s]
+                assert shifted == pytest.approx(list(direct), abs=1e-11, rel=0)
+
+
+def test_validate_sectors_solves_a_parity_once_per_ell(solves):
+    # both even sectors, both spins: one operator per ell, two grid sizes
+    ells = lowest_ells(1, 3)
+    reports = validate_sectors([(1, 1), (-1, -1)], NU44, ells, 2)
+    assert [(r.eps1, r.eps2) for r in reports] == [(1, 1), (-1, -1)]
+    assert [len(r.rows) for r in reports] == [2 * 3 * len(ells)] * 2
+    assert [k for k, _ in solves] == [3] * (2 * len(ells))
+
+
+def test_run_oracle_suite_solves_each_radial_operator_once(solves):
+    # 4 nu pairs x 2 parities x 2 ells = 16 operators, two grid sizes each
+    from dunkl_pauli.verify import run_oracle_suite
+    result = run_oracle_suite()
+    assert (result.passed, result.failed) == (192, 0)
+    assert len(solves) == 32
+
+
+def _fine_with_bracket(problem, n_max):
+    """The fine matrix of oracle_energies and the bracket it bisects."""
+    coarse = lowest_eigenvalues(build_tridiagonal(problem, GRID_POINTS), n_max + 1)
+    bracket = (problem.lam - problem.zeeman - 1.0,
+               coarse[-1] + (coarse[-1] - coarse[-2]) / 2.0)
+    return build_tridiagonal(problem, 2 * GRID_POINTS + 1), bracket
+
+
+@pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
+def test_a_bracketed_solve_equals_the_full_range_solve(nu):
+    params = WignerParams(*nu)
+    for sector in SECTORS:
+        for ell in lowest_ells(sector[0] * sector[1], 2):
+            problem = RadialProblem.from_state(SectorState(*sector, 0, ell, 1),
+                                               params)
+            fine, bracket = _fine_with_bracket(problem, 2)
+            full = lowest_eigenvalues(fine, 3)
+            # the floor is below the spectrum, and vu leaves the 4th level out
+            assert bracket[0] < full[0]
+            assert lowest_eigenvalues(fine, 4)[3] > bracket[1]
+            assert list(lowest_eigenvalues(fine, 3, bracket)) == pytest.approx(
+                list(full), abs=2e-13, rel=0)
+
+
+def test_a_bracket_short_of_k_levels_or_k_1_gives_the_full_range_result():
+    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44)
+    fine, (vl, _) = _fine_with_bracket(problem, 2)
+    full = lowest_eigenvalues(fine, 3)
+    # vu between levels 1 and 2: the bracket holds two of the three levels
+    short = (vl, (full[1] + full[2]) / 2.0)
+    assert list(lowest_eigenvalues(fine, 3, short)) == list(full)
+    # and a bracket with no level in it at all
+    assert list(lowest_eigenvalues(fine, 3, (vl - 2.0, vl))) == list(full)
+    # k = 1 ignores the bracket, even one that leaves level 0 out
+    above_ground = (full[0] + 1e-6, full[2])
+    assert list(lowest_eigenvalues(fine, 1, above_ground)) == list(
+        lowest_eigenvalues(fine, 1))
+
+
+def test_oracle_energies_bisects_the_fine_grid_in_a_bracket(solves):
+    # the coarse solve and an n_max = 0 solve search the full range; the
+    # fine solve of n_max >= 1 gets the bracket of _fine_with_bracket
+    problem = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), 1), NU44)
+    oracle_energies(problem, 0)
+    oracle_energies(problem, 2)
+    assert [bracket for _, bracket in solves[:3]] == [None, None, None]
+    assert solves[3][1] == _fine_with_bracket(problem, 2)[1]
 
 
 def test_validate_sector_rows_do_not_depend_on_the_scale():
