@@ -1,5 +1,5 @@
-"""Angular sector: exact trigonometric polynomials, Jacobi polynomials, the
-angular operators, and the per-parity-sector eigenpairs.
+"""Angular problem: exact trigonometric polynomials, Jacobi polynomials, the
+angular operators, and the per-parity eigenpairs.
 
 An angular function is represented as f(theta) = A(c) + s*B(c) with c = cos
 theta, s = sin theta and A, B exact univariate polynomials; sin^2 is always
@@ -18,12 +18,13 @@ per result, so equality is exact rational equality and the operator
 identities hold with zero tolerance.  Coefficients are handed out as
 fractions.Fraction; float evaluation uses the correctly rounded n/den.
 
-Eigenfunctions for the eigenvalue lam of i*G are built per sector from a
-two-dimensional candidate space spanned by f1 = A(c), which has only an even
-part, and f2 = s*B(c), which has only an odd part (Jacobi polynomials in
--cos 2*theta with sector-specific prefactors).  G maps each of them onto a
-multiple of the other, so its restriction is [[0, m12], [m21, 0]] with two
-exact rational ratios; lam^2 = -m12*m21 and the complex mixing weights follow.
+Eigenfunctions for the eigenvalue lam of i*G are built per parity eps of
+R1R2 (G commutes with R1R2, not with R1 or R2) from a two-dimensional
+candidate space spanned by f1 = A(c), which has only an even part, and
+f2 = s*B(c), which has only an odd part (Jacobi polynomials in -cos 2*theta
+with parity-specific prefactors).  G maps each of them onto a multiple of
+the other, so its restriction is [[0, m12], [m21, 0]] with two exact
+rational ratios; lam^2 = -m12*m21 and the complex mixing weights follow.
 None of this depends on the sign of lam, so both branches come from one
 exact restriction: one basis build and one G image per basis function.
 """
@@ -434,12 +435,12 @@ def _ratio(p: Poly1, q: Poly1) -> Fraction:
     return m
 
 
-def sector_basis(ell, eps1: int, eps2: int, params: WignerParams):
+def sector_basis(ell, epsilon: int, params: WignerParams):
     """The two real candidate functions spanning the G-invariant space.
 
-    Even sector (eps1*eps2 = +1): a purely even Jacobi polynomial in
+    Even parity (epsilon = +1): a purely even Jacobi polynomial in
     -cos 2*theta and a sin*cos-prefactored one of one lower degree.  Odd
-    sector: cos- and sin-prefactored Jacobi polynomials of degree ell - 1/2.
+    parity: cos- and sin-prefactored Jacobi polynomials of degree ell - 1/2.
     The first Jacobi parameter pair is (nu1 - 1/2, nu2 - 1/2), as dictated by
     the orthogonality weight |cos|^(2 nu1) |sin|^(2 nu2) d theta; prefactors
     shift each parameter up by one.
@@ -447,9 +448,9 @@ def sector_basis(ell, eps1: int, eps2: int, params: WignerParams):
     ell = Fraction(ell)
     nu1, nu2 = params.nu1, params.nu2
     arg = Poly1((1, 0, -2))  # -cos 2*theta = 1 - 2 c^2
-    if eps1 * eps2 == 1:
+    if epsilon == 1:
         if ell < 1:
-            raise ValueError("even-sector basis requires ell >= 1")
+            raise ValueError("even-parity basis requires ell >= 1")
         f1 = TrigPoly(jacobi(int(ell), nu1 - Fraction(1, 2), nu2 - Fraction(1, 2), arg),
                       Poly1())
         f2 = TrigPoly(Poly1(),
@@ -467,7 +468,7 @@ def sector_basis(ell, eps1: int, eps2: int, params: WignerParams):
 
 @dataclass(frozen=True)
 class AngularEigenpair:
-    """One eigenpair of the angular momentum operator in a parity sector.
+    """One eigenpair of the angular momentum operator in one parity.
 
     The eigenfunction is weights[0]*basis[0] + weights[1]*basis[1] with exact
     rational basis functions and complex mixing weights; it satisfies
@@ -476,8 +477,7 @@ class AngularEigenpair:
     G(basis[0]) = m21*basis[1] and G(basis[1]) = m12*basis[0].
     """
 
-    eps1: int
-    eps2: int
+    epsilon: int
     ell: Fraction
     branch: int
     lam: float
@@ -487,18 +487,14 @@ class AngularEigenpair:
     params: WignerParams
     is_constant_mode: bool = False
 
-    @property
-    def epsilon(self) -> int:
-        return self.eps1 * self.eps2
-
     def eigenfunction(self, theta: float) -> complex:
         return sum(w * f.evaluate(theta) for w, f in zip(self.weights, self.basis))
 
 
-def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
+def angular_eigenpairs(ell, epsilon: int, params: WignerParams
                        ) -> tuple[AngularEigenpair, AngularEigenpair]:
     """Construct and verify both branches (+1, -1) of the angular eigenpair
-    for (ell, sector) from one exact restriction.
+    for ell in the parity epsilon from one exact restriction.
 
     G maps f1 onto m21*f2 and f2 onto m12*f1, with no component along the
     function it started from, so the restriction of G to the candidate space
@@ -512,20 +508,16 @@ def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
     The ell = 0 constant mode (lam = 0, restriction (0, 0)) is returned with
     is_constant_mode set so enumerations can exclude it.
     """
-    eps1, eps2 = sector
-    if eps1 not in (1, -1) or eps2 not in (1, -1):
-        raise ValueError(f"sector labels must be +/-1, got {sector}")
-    epsilon = eps1 * eps2
     ell = Fraction(ell)
     _validate_sector_ell(ell, epsilon)
 
     if epsilon == 1 and ell == 0:
-        return tuple([AngularEigenpair(eps1, eps2, ell, branch, 0.0, (TrigPoly.one(),),
+        return tuple([AngularEigenpair(epsilon, ell, branch, 0.0, (TrigPoly.one(),),
                                        (Fraction(0), Fraction(0)), (1 + 0j,),
                                        params, is_constant_mode=True)
                       for branch in (1, -1)])
 
-    f1, f2 = sector_basis(ell, eps1, eps2, params)
+    f1, f2 = sector_basis(ell, epsilon, params)
     for f in (f1, f2):
         r = f.reflect12()
         if not (r.even == epsilon * f.even and r.odd == epsilon * f.odd):
@@ -539,7 +531,7 @@ def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
     if det <= 0:
         raise ValueError(
             f"degenerate restriction (det={det}) "
-            f"for ell={ell}, sector=({eps1},{eps2})")
+            f"for ell={ell}, epsilon={epsilon}")
     num, den = _radicand_terms(ell, epsilon, params)
     if det.numerator * den != num * det.denominator:
         raise ValueError("restriction determinant disagrees with closed form")
@@ -555,16 +547,16 @@ def angular_eigenpairs(ell, sector: tuple[int, int], params: WignerParams
         w1, w2 = complex(scale) / scale, mu / scale
         if abs(float(m21) * w1 - mu * w2) > 1e-12 * max(abs(lam), 1.0):
             raise AssertionError("eigenvector verification failed")
-        pairs.append(AngularEigenpair(eps1, eps2, ell, branch, lam, (f1, f2),
+        pairs.append(AngularEigenpair(epsilon, ell, branch, lam, (f1, f2),
                                       (m12, m21), (w1, w2), params))
     return tuple(pairs)
 
 
-def angular_eigenpair(ell, sector: tuple[int, int], branch: int,
+def angular_eigenpair(ell, epsilon: int, branch: int,
                       params: WignerParams) -> AngularEigenpair:
-    """The branch +1 or -1 member of angular_eigenpairs(ell, sector, params),
+    """The branch +1 or -1 member of angular_eigenpairs(ell, epsilon, params),
     which builds both branches from one exact restriction."""
     if branch not in (1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
-    plus, minus = angular_eigenpairs(ell, sector, params)
+    plus, minus = angular_eigenpairs(ell, epsilon, params)
     return plus if branch == 1 else minus

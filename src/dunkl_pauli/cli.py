@@ -326,12 +326,13 @@ class _Parser(argparse.ArgumentParser):
     """argparse with single-line machine-parsable errors and exit code 2.
     '-' or '-.' before a digit starts a value, as in --nu1 -2/5 or --nu2 -1e-1
     (no option starts with a digit); argparse on 3.11 takes only decimals so.
-    So are -inf, -infinity and -nan in any case, as float() reads them."""
+    So are -inf, -infinity and -nan in any case, as float() reads them, and
+    the sector name -+.  A bare -- stays the end-of-options marker."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"-(\.?\d|(?i:inf|infinity|nan)$)")
+            r"-(\.?\d|\+$|(?i:inf|infinity|nan)$)")
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -351,7 +352,8 @@ def _add_sector(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu1", default="0", help="first deformation parameter (> -1/2)")
     p.add_argument("--nu2", default="0", help="second deformation parameter (> -1/2)")
     p.add_argument("--sector", default="++", action=_SectorAction,
-                   help="parity sector: ++, --, +-, -+ (or pp/mm/pm/mp)")
+                   help="parity sector: ++, --, +-, -+ (or pp/mm/pm/mp); "
+                   "-- needs --sector=-- or mm")
 
 
 def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:

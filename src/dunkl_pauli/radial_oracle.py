@@ -5,12 +5,12 @@ the deformed measure.  Substituting F(r) = r^(-(1+2nu1+2nu2)/2) u(r) removes
 it exactly (Liouville transformation), leaving the plain Schroedinger form
 
     u'' + [2E - V(r)] u = 0,
-    V(r) = r^2/4 + K/r^2 + lam - m_s (1 + nu1 eps1 + nu2 eps2),
+    V(r) = r^2/4 + K/r^2 + lam,
     K    = centrifugal + (p^2 - 2p)/4,   p = 1 + 2nu1 + 2nu2,
 
 in units m = omega_c = 1 (hbar = 1; g_s = 2, so B mu_B g_s = omega_c): E is
 E/omega_c and r is in units 1/sqrt(m omega_c).  The centrifugal term is lam^2
-in the even sector and lam^2 - 4 nu1 nu2 in the odd one.  Near r = 0 the
+in the even parity and lam^2 - 4 nu1 nu2 in the odd one.  Near r = 0 the
 solutions go like r^(1/2 +/- kappa), kappa = sqrt(K + 1/4).  For kappa < 1
 both are square integrable, so a Dirichlet wall near the origin would pick the
 regular one only up to O(r_min^(2 kappa)).  There is no wall at the origin
@@ -27,14 +27,14 @@ an O(h^2) error, which Richardson extrapolation between the steps h and h/2
 removes.  Nothing here reuses the closed-form energy algebra, so agreement
 with it is a genuine cross-check.
 
-A sector enters the matrix only through eps = eps1 eps2 and the Zeeman term,
-a constant in r, and the spin only through the Zeeman term.  So ++ and --
-share one matrix up to that constant, and so do +- and -+: validate_sectors
-makes one solve per (eps, ell), at m_s = +1, and shifts its levels by half
-the difference of the Zeeman terms for every (sector, spin) of that parity.
+The operator is that of one parity eps: J commutes with R1R2 but not with
+R1 or R2.  A sector and spin add the Zeeman term -m_s (1 + nu1 eps1 + nu2
+eps2) to V, a constant that shifts each level by half of it: validate_sectors
+solves once per (eps, ell) and adds the shift per (sector, spin) row, so the
+oracle checks the closed-form rho; eta enters both sides as one constant.
 
 The fine solve bisects (vl, vu] built from what the oracle already has.  vl
-is the potential's floor lam - zeeman less a margin of 1: the matrix less
+is the potential's floor lam less a margin of 1: the matrix less
 diag(v_rest) is D^-1 (L/h^2 + kappa^2) D^-1, D = diag(r), and L (L_00 = 2 -
 exp(-kappa h) >= 1) is positive definite; the margin dwarfs the eps*||A|| ~
 2e-4 that rounding of the entries can move a level.  vu is the coarse top
@@ -45,8 +45,9 @@ Gershgorin interval, about +/-1e12 wide on this matrix graded as 1/r^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -58,35 +59,21 @@ from .spectrum import OscillatorScale, SectorState, energy_over_omega_c
 
 @dataclass(frozen=True)
 class RadialProblem:
-    """One radial eigenproblem: angular eigenvalue, sector, spin."""
+    """The radial operator of parity epsilon, without the Zeeman term."""
 
     lam: float
-    eps1: int
-    eps2: int
-    m_s: int
+    epsilon: int
     params: WignerParams
-
-    @classmethod
-    def from_state(cls, state: SectorState, params: WignerParams) -> RadialProblem:
-        lam = lambda_value(state.ell, state.epsilon, state.branch, params)
-        return cls(lam, state.eps1, state.eps2, state.m_s, params)
 
     @property
     def centrifugal_coefficient(self) -> float:
         """Coefficient of 1/r^2 before the measure transformation:
-        lam^2, minus 4*nu1*nu2 in the odd sector where (1 - R1R2) acts as 2."""
+        lam^2, minus 4*nu1*nu2 in the odd parity where (1 - R1R2) acts as 2."""
         nu1, nu2 = self.params.as_floats()
         c = self.lam * self.lam
-        if self.eps1 * self.eps2 == -1:
+        if self.epsilon == -1:
             c -= 4.0 * nu1 * nu2
         return c
-
-    @property
-    def zeeman(self) -> float:
-        """The Zeeman term that V subtracts, constant in r:
-        m_s (1 + nu1 eps1 + nu2 eps2)."""
-        nu1, nu2 = self.params.as_floats()
-        return self.m_s * (1.0 + nu1 * self.eps1 + nu2 * self.eps2)
 
 
 # The grid: GRID_POINTS nodes uniform in t = ln r, strictly between R_MIN and
@@ -109,7 +96,7 @@ def build_tridiagonal(problem: RadialProblem, n: int):
     t_lo, t_hi = math.log(R_MIN * natural), math.log(R_MAX * natural)
     h = (t_hi - t_lo) / (n + 1)
     r = np.exp(t_lo + h * np.arange(1, n + 1))
-    v_rest = 0.25 * r ** 2 + problem.lam - problem.zeeman
+    v_rest = 0.25 * r ** 2 + problem.lam
     a = np.full(n, 2.0 / h ** 2 + kappa ** 2)
     a[0] -= math.exp(-kappa * h) / h ** 2  # ghost node w_0 = w_1 exp(-kappa h)
     return a / r ** 2 + v_rest, -1.0 / (h ** 2 * r[:-1] * r[1:])
@@ -139,11 +126,12 @@ def lowest_eigenvalues(matrix, k: int, bracket=None):
 def oracle_energies(problem: RadialProblem, n_max: int):
     """Oracle E/omega_c for n = 0..n_max: Richardson extrapolation of the
     solves at GRID_POINTS and 2*GRID_POINTS + 1 nodes (step h and h/2); the
-    coarse levels bracket the fine ones (module doc)."""
+    coarse levels bracket the fine ones (module doc); 0 <= n_max <= 9."""
+    if not (isinstance(n_max, Integral) and 0 <= n_max <= 9):
+        raise ValueError(f"n_max must be an integer from 0 to 9, got {n_max!r}")
     coarse = lowest_eigenvalues(build_tridiagonal(problem, GRID_POINTS), n_max + 1)
     bracket = None if n_max == 0 else (
-        problem.lam - problem.zeeman - 1.0,
-        coarse[-1] + (coarse[-1] - coarse[-2]) / 2.0)
+        problem.lam - 1.0, coarse[-1] + (coarse[-1] - coarse[-2]) / 2.0)
     fine = lowest_eigenvalues(build_tridiagonal(problem, 2 * GRID_POINTS + 1),
                               n_max + 1, bracket)
     return (4.0 * fine - coarse) / 3.0 / 2.0  # extrapolated 2E, halved
@@ -191,22 +179,20 @@ def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int,
                      tolerance: float = ORACLE_TOLERANCE) -> list[SectorReport]:
     """One report per sector: oracle eigenvalues (oracle_energies) against
     the closed forms for every ell in ell_list, n <= n_max and both spins,
-    from one solve per (eps, ell) (module doc).  Uses the positive lam
-    branch.  A mismatch above tolerance is reported, never raised."""
+    from one solve per (eps, ell), shifted per row (module doc), on the
+    positive lam branch.  A mismatch above tolerance is reported, not raised."""
     reports = [SectorReport(eps1, eps2, params, tolerance)
                for eps1, eps2 in sectors]
+    nu1, nu2 = params.as_floats()
     for ell in map(Fraction, ell_list):
-        solved = {}  # eps -> (the problem solved, its energies)
+        levels = {epsilon: oracle_energies(RadialProblem(
+            lambda_value(ell, epsilon, 1, params), epsilon, params), n_max)
+            for epsilon in dict.fromkeys(r.eps1 * r.eps2 for r in reports)}
         for report in reports:
             eps1, eps2 = report.eps1, report.eps2
-            if eps1 * eps2 not in solved:
-                problem = RadialProblem.from_state(
-                    SectorState(eps1, eps2, 0, ell, 1), params)
-                solved[eps1 * eps2] = problem, oracle_energies(problem, n_max)
-            problem, energies = solved[eps1 * eps2]
             for m_s in (1, -1):
-                oracle = energies + (problem.zeeman - replace(
-                    problem, eps1=eps1, eps2=eps2, m_s=m_s).zeeman) / 2.0
+                oracle = (levels[eps1 * eps2]
+                          - m_s * (1.0 + nu1 * eps1 + nu2 * eps2) / 2.0)
                 for n in range(n_max + 1):
                     closed = energy_over_omega_c(
                         SectorState(eps1, eps2, n, ell, m_s), params)

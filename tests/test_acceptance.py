@@ -76,7 +76,7 @@ def test_criterion_03_angular_eigenvalues():
             epsilon = sector[0] * sector[1]
             for ell in ells:
                 closed = lambda_value(ell, epsilon, 1, params)
-                pair = angular_eigenpair(ell, sector, 1, params)
+                pair = angular_eigenpair(ell, epsilon, 1, params)
                 worst = max(worst, abs(pair.lam - closed) / closed)
     ok = worst <= 1e-12
     report(3, ok, f"constructed eigenpairs match closed-form lambda, worst "

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -283,18 +284,18 @@ def test_lambda_value_validation():
 
 
 def test_eigenpair_undeformed_even_sector():
-    pair = angular_eigenpair(1, (1, 1), 1, NU0)
+    pair = angular_eigenpair(1, 1, 1, NU0)
     assert pair.lam == 2.0
     assert pair.epsilon == 1
 
 
 def test_eigenpair_undeformed_odd_sector():
-    pair = angular_eigenpair(F(1, 2), (1, -1), 1, NU0)
+    pair = angular_eigenpair(F(1, 2), -1, 1, NU0)
     assert pair.lam == 1.0
 
 
 def test_eigenpair_deformed_lambda_and_grid_residual():
-    pair = angular_eigenpair(1, (1, 1), 1, NU44)
+    pair = angular_eigenpair(1, 1, 1, NU44)
     assert pair.lam == pytest.approx(2.6832815729997477, rel=1e-15)
     g_basis = [apply_G(f, NU44) for f in pair.basis]
     for k in range(25):
@@ -305,10 +306,8 @@ def test_eigenpair_deformed_lambda_and_grid_residual():
 
 
 def test_eigenpair_parity_is_exact():
-    for sector, ell in (((1, 1), 2), ((-1, -1), 3), ((1, -1), F(3, 2)),
-                        ((-1, 1), F(5, 2))):
-        pair = angular_eigenpair(ell, sector, 1, WignerParams(F(1, 5), F(2, 5)))
-        eps = sector[0] * sector[1]
+    for eps, ell in ((1, 2), (1, 3), (-1, F(3, 2)), (-1, F(5, 2))):
+        pair = angular_eigenpair(ell, eps, 1, WignerParams(F(1, 5), F(2, 5)))
         for f in pair.basis:
             r = f.reflect12()
             assert r.even == eps * f.even and r.odd == eps * f.odd
@@ -319,17 +318,16 @@ def test_eigenpair_lambda_squared_matches_closed_form():
     for nu1 in (F(-49, 100), F(-2, 5), F(0), F(1, 5), F(2)):
         for nu2 in (F(-49, 100), F(-1, 5), F(2, 5), F(2)):
             params = WignerParams(nu1, nu2)
-            for sector, ells in (((1, 1), (1, 3, 5)), ((1, -1), (F(1, 2), F(9, 2)))):
-                eps = sector[0] * sector[1]
+            for eps, ells in ((1, (1, 3, 5)), (-1, (F(1, 2), F(9, 2)))):
                 for ell in ells:
-                    pair = angular_eigenpair(ell, sector, 1, params)
+                    pair = angular_eigenpair(ell, eps, 1, params)
                     rad = float(lambda_radicand(ell, eps, params))
                     assert pair.lam ** 2 == pytest.approx(rad, rel=1e-12)
 
 
 def test_branches_are_complex_conjugates():
-    plus = angular_eigenpair(2, (1, 1), 1, NU44)
-    minus = angular_eigenpair(2, (1, 1), -1, NU44)
+    plus = angular_eigenpair(2, 1, 1, NU44)
+    minus = angular_eigenpair(2, 1, -1, NU44)
     assert minus.lam == -plus.lam
     for a, b in zip(plus.weights, minus.weights):
         assert b == pytest.approx(a.conjugate(), rel=1e-14, abs=1e-14)
@@ -345,10 +343,10 @@ def test_one_branch_is_its_member_of_the_pair(nu):
     for sector in SECTORS:
         eps = sector[0] * sector[1]
         for ell in [F(0)] * (eps == 1) + lowest_ells(eps, 2):
-            pairs = angular_eigenpairs(ell, sector, params)
+            pairs = angular_eigenpairs(ell, eps, params)
             assert [p.branch for p in pairs] == [1, -1]
             for branch, member in zip((1, -1), pairs):
-                single = angular_eigenpair(ell, sector, branch, params)
+                single = angular_eigenpair(ell, eps, branch, params)
                 for field in fields(single):
                     a, b = getattr(single, field.name), getattr(member, field.name)
                     if field.name == "lam":
@@ -376,24 +374,32 @@ def test_bad_branch_raises_before_any_basis_is_built(monkeypatch):
     monkeypatch.setattr(angular, "sector_basis", no_basis)
     for branch in (0, 2, -2):
         with pytest.raises(ValueError, match=f"branch must be \\+1 or -1, got {branch}"):
-            angular_eigenpair(2, (1, 1), branch, NU44)
+            angular_eigenpair(2, 1, branch, NU44)
 
 
 def test_constant_mode_flagged():
-    pair = angular_eigenpair(0, (1, 1), 1, NU44)
+    pair = angular_eigenpair(0, 1, 1, NU44)
     assert pair.is_constant_mode and pair.lam == 0.0
     assert pair.eigenfunction(0.7) == 1.0
 
 
 def test_eigenpair_rejects_invalid_combinations():
     with pytest.raises(ValueError):
-        angular_eigenpair(F(1, 2), (1, 1), 1, NU0)
+        angular_eigenpair(F(1, 2), 1, 1, NU0)
     with pytest.raises(ValueError):
-        angular_eigenpair(1, (1, -1), 1, NU0)
+        angular_eigenpair(1, -1, 1, NU0)
     with pytest.raises(ValueError):
-        angular_eigenpair(1, (2, 1), 1, NU0)
+        angular_eigenpair(1, 2, 1, NU0)
     with pytest.raises(ValueError):
-        angular_eigenpair(0, (1, -1), 1, NU0)  # no constant mode in odd sector
+        angular_eigenpair(0, -1, 1, NU0)  # no constant mode in odd sector
+
+
+@pytest.mark.parametrize("epsilon", [0, (1, 1)], ids=["zero", "sector-tuple"])
+def test_eigenpairs_take_a_parity_not_a_sector(epsilon):
+    # a sector reaches G only through eps1*eps2, so the parity is the argument
+    with pytest.raises(ValueError,
+                       match=re.escape(f"sector parity must be +1 or -1, got {epsilon}")):
+        angular_eigenpairs(1, epsilon, NU44)
 
 
 @pytest.mark.parametrize("distort", [
@@ -405,15 +411,15 @@ def test_eigenpair_rejects_invalid_combinations():
 ], ids=["stretched", "mixed"])
 def test_eigenpair_rejects_a_basis_G_does_not_swap(monkeypatch, distort):
     # both distortions keep the R1R2 parity of the basis
-    def basis(ell, eps1, eps2, params):
-        return distort(*sector_basis(ell, eps1, eps2, params))
+    def basis(ell, epsilon, params):
+        return distort(*sector_basis(ell, epsilon, params))
 
     monkeypatch.setattr(angular, "sector_basis", basis)
-    for ell, sector in ((2, (1, 1)), (F(3, 2), (1, -1))):
+    for ell, eps in ((2, 1), (F(3, 2), -1)):
         with pytest.raises(ValueError, match="candidate space"):
-            angular_eigenpair(ell, sector, 1, NU44)
+            angular_eigenpair(ell, eps, 1, NU44)
         with pytest.raises(ValueError, match="candidate space"):
-            angular_eigenpairs(ell, sector, NU44)
+            angular_eigenpairs(ell, eps, NU44)
 
 
 def test_printed_jacobi_argument_breaks_parity():
@@ -423,5 +429,5 @@ def test_printed_jacobi_argument_breaks_parity():
     printed = TrigPoly(jacobi(2, params.nu1 + F(1, 2), params.nu2 + F(1, 2),
                               Poly1([0, -2])), Poly1())
     assert printed.reflect12() != printed
-    f1, _ = sector_basis(2, 1, 1, params)
+    f1, _ = sector_basis(2, 1, params)
     assert f1.reflect12() == f1

@@ -276,6 +276,14 @@ def test_sector_minus_minus_spelling_matches_alias(capsys, argv):
     assert spelled == alias
 
 
+def test_sector_minus_plus_needs_no_equals_sign(capsys):
+    # -+ starts with the option prefix, but no option is named so
+    code, spaced, err = run(capsys, "spectrum", "--sector", "-+", "--nmax", "1")
+    assert (code, err) == (0, "")
+    _, joined, _ = run(capsys, "spectrum", "--sector=-+", "--nmax", "1")
+    assert spaced == joined
+
+
 def test_unknown_sector_is_usage_error(capsys):
     code, _, err = run(capsys, "spectrum", "--sector", "+x")
     assert code == 2 and err.startswith("error:")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from dunkl_pauli import radial_oracle
 from dunkl_pauli.algebra import WignerParams
+from dunkl_pauli.angular import lambda_value
 from dunkl_pauli.radial_oracle import (GRID_POINTS, ComparisonRow,
                                        RadialProblem, build_tridiagonal,
                                        lowest_eigenvalues, oracle_energies,
@@ -17,6 +19,30 @@ from dunkl_pauli.spectrum import (SECTORS, OscillatorScale, SectorState,
 SCALE = OscillatorScale()
 NU0 = WignerParams(0, 0)
 NU44 = WignerParams(F(2, 5), F(2, 5))
+
+
+def _problem(ell, epsilon, params):
+    """The radial operator of parity epsilon at ell, positive lam branch."""
+    return RadialProblem(lambda_value(ell, epsilon, 1, params), epsilon, params)
+
+
+def _zeeman(state, params):
+    """The Zeeman term m_s (1 + nu1 eps1 + nu2 eps2) of a state's sector and
+    spin, which shifts the operator's 2E by minus itself."""
+    nu1, nu2 = params.as_floats()
+    return state.m_s * (1.0 + nu1 * state.eps1 + nu2 * state.eps2)
+
+
+def _zeeman_solve(state, params, n_max):
+    """E/omega_c of one sector and spin, from a full-range solve of the
+    matrices with that Zeeman term on their diagonal: independent of the
+    per-parity solve and per-row shift of validate_sectors."""
+    zeeman = _zeeman(state, params)
+    coarse, fine = (
+        lowest_eigenvalues((diag - zeeman, off), n_max + 1)
+        for diag, off in (build_tridiagonal(_problem(state.ell, state.epsilon, params), n)
+                          for n in (GRID_POINTS, 2 * GRID_POINTS + 1)))
+    return (4.0 * fine - coarse) / 3.0 / 2.0
 
 
 def test_lowest_eigenvalues_trivial_diagonal():
@@ -54,14 +80,14 @@ def test_full_line_oscillator_ground_state():
 
 def test_centrifugal_coefficient_by_sector():
     # even sector: lam^2; odd sector: lam^2 - 4 nu1 nu2
-    even = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44)
+    even = _problem(1, 1, NU44)
     assert even.centrifugal_coefficient == pytest.approx(even.lam ** 2)
-    odd = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), 1), NU44)
+    odd = _problem(F(1, 2), -1, NU44)
     assert odd.centrifugal_coefficient == pytest.approx(odd.lam ** 2 - 4 * 0.16)
 
 
 def test_matrix_is_symmetric_tridiagonal():
-    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44)
+    problem = _problem(1, 1, NU44)
     diag, off = build_tridiagonal(problem, 600)
     assert diag.shape == (600,) and off.shape == (599,)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
@@ -71,16 +97,15 @@ def test_matrix_is_symmetric_tridiagonal():
 def test_undeformed_sector_matches_textbook_ladder():
     # nu = 0, sector (+,+) is the textbook 2D oscillator with angular momentum
     # 2*ell plus the Zeeman shift; compared against the closed form at nu = 0
-    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU0)
-    es = oracle_energies(problem, 2)
+    state = SectorState(1, 1, 0, 1, 1)
+    es = oracle_energies(_problem(1, 1, NU0), 2) - _zeeman(state, NU0) / 2.0
     for n, e in enumerate(es):
         closed = energy_over_omega_c(SectorState(1, 1, n, 1, 1), NU0)
         assert e == pytest.approx(closed, abs=1e-7)
 
 
 def test_eigenvalues_increase_with_n():
-    problem = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), -1), NU44)
-    es = oracle_energies(problem, 4)
+    es = oracle_energies(_problem(F(1, 2), -1, NU44), 4)
     assert all(b > a for a, b in zip(es, es[1:]))
 
 
@@ -88,8 +113,9 @@ def test_second_order_richardson_convergence():
     # the raw log grid is second order: halving h (n -> 2n + 1 nodes, same
     # ends) quarters the error, and the extrapolation beats both solves
     state = SectorState(1, -1, 0, F(1, 2), 1)
-    problem = RadialProblem.from_state(state, NU44)
-    exact = 2.0 * energy_over_omega_c(state, NU44)  # 2E in units m = omega_c = 1
+    problem = _problem(F(1, 2), -1, NU44)
+    # 2E of the operator, which leaves the Zeeman term out (m = omega_c = 1)
+    exact = 2.0 * energy_over_omega_c(state, NU44) + _zeeman(state, NU44)
     sizes = (GRID_POINTS, 2 * GRID_POINTS + 1, 4 * GRID_POINTS + 3)
     raw = [lowest_eigenvalues(build_tridiagonal(problem, n), 1)[0]
            for n in sizes]
@@ -143,8 +169,7 @@ def test_spin_down_rows_match_an_independent_solve(nu):
         ells = lowest_ells(sector[0] * sector[1], 2)
         report = validate_sector(sector, params, SCALE, ells, 2)
         for ell in ells:
-            state = SectorState(*sector, 0, ell, -1)
-            direct = oracle_energies(RadialProblem.from_state(state, params), 2)
+            direct = _zeeman_solve(SectorState(*sector, 0, ell, -1), params, 2)
             shifted = [r.oracle for r in report.rows
                        if r.ell == ell and r.m_s == -1]
             assert shifted == pytest.approx(list(direct), abs=1e-11, rel=0)
@@ -170,9 +195,9 @@ def _partner(sector):
 
 @pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
 def test_partner_sector_rows_match_an_independent_solve(nu):
-    # validate_sectors solves the first sector of a parity and shifts its
-    # levels to the second; a solve of the second sector's own matrix, with
-    # its Zeeman term on the diagonal, must give the same levels
+    # validate_sectors solves a parity's operator once and shifts its levels
+    # to both sectors; a solve of each sector's own matrix, with its Zeeman
+    # term on the diagonal, must give the same levels
     params = WignerParams(*nu)
     for sector in ((1, 1), (1, -1)):
         ells = lowest_ells(sector[0] * sector[1], 2)
@@ -180,13 +205,14 @@ def test_partner_sector_rows_match_an_independent_solve(nu):
                                          ells, 2)
         assert (second.eps1, second.eps2) == _partner(sector)
         assert len(first.rows) == len(second.rows) == 12
-        for ell in ells:
-            for m_s in (1, -1):
-                state = SectorState(*_partner(sector), 0, ell, m_s)
-                direct = oracle_energies(RadialProblem.from_state(state, params), 2)
-                shifted = [r.oracle for r in second.rows
-                           if r.ell == ell and r.m_s == m_s]
-                assert shifted == pytest.approx(list(direct), abs=1e-11, rel=0)
+        for report in (first, second):
+            for ell in ells:
+                for m_s in (1, -1):
+                    state = SectorState(report.eps1, report.eps2, 0, ell, m_s)
+                    direct = _zeeman_solve(state, params, 2)
+                    shifted = [r.oracle for r in report.rows
+                               if r.ell == ell and r.m_s == m_s]
+                    assert shifted == pytest.approx(list(direct), abs=1e-11, rel=0)
 
 
 def test_validate_sectors_solves_a_parity_once_per_ell(solves):
@@ -209,7 +235,7 @@ def test_run_oracle_suite_solves_each_radial_operator_once(solves):
 def _fine_with_bracket(problem, n_max):
     """The fine matrix of oracle_energies and the bracket it bisects."""
     coarse = lowest_eigenvalues(build_tridiagonal(problem, GRID_POINTS), n_max + 1)
-    bracket = (problem.lam - problem.zeeman - 1.0,
+    bracket = (problem.lam - 1.0,
                coarse[-1] + (coarse[-1] - coarse[-2]) / 2.0)
     return build_tridiagonal(problem, 2 * GRID_POINTS + 1), bracket
 
@@ -217,11 +243,9 @@ def _fine_with_bracket(problem, n_max):
 @pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
 def test_a_bracketed_solve_equals_the_full_range_solve(nu):
     params = WignerParams(*nu)
-    for sector in SECTORS:
-        for ell in lowest_ells(sector[0] * sector[1], 2):
-            problem = RadialProblem.from_state(SectorState(*sector, 0, ell, 1),
-                                               params)
-            fine, bracket = _fine_with_bracket(problem, 2)
+    for epsilon in (1, -1):
+        for ell in lowest_ells(epsilon, 2):
+            fine, bracket = _fine_with_bracket(_problem(ell, epsilon, params), 2)
             full = lowest_eigenvalues(fine, 3)
             # the floor is below the spectrum, and vu leaves the 4th level out
             assert bracket[0] < full[0]
@@ -231,8 +255,7 @@ def test_a_bracketed_solve_equals_the_full_range_solve(nu):
 
 
 def test_a_bracket_short_of_k_levels_or_k_1_gives_the_full_range_result():
-    problem = RadialProblem.from_state(SectorState(1, 1, 0, 1, 1), NU44)
-    fine, (vl, _) = _fine_with_bracket(problem, 2)
+    fine, (vl, _) = _fine_with_bracket(_problem(1, 1, NU44), 2)
     full = lowest_eigenvalues(fine, 3)
     # vu between levels 1 and 2: the bracket holds two of the three levels
     short = (vl, (full[1] + full[2]) / 2.0)
@@ -248,11 +271,21 @@ def test_a_bracket_short_of_k_levels_or_k_1_gives_the_full_range_result():
 def test_oracle_energies_bisects_the_fine_grid_in_a_bracket(solves):
     # the coarse solve and an n_max = 0 solve search the full range; the
     # fine solve of n_max >= 1 gets the bracket of _fine_with_bracket
-    problem = RadialProblem.from_state(SectorState(1, -1, 0, F(1, 2), 1), NU44)
+    problem = _problem(F(1, 2), -1, NU44)
     oracle_energies(problem, 0)
     oracle_energies(problem, 2)
     assert [bracket for _, bracket in solves[:3]] == [None, None, None]
     assert solves[3][1] == _fine_with_bracket(problem, 2)[1]
+
+
+@pytest.mark.parametrize("n_max", [-1, 1.5, 10])
+def test_a_bad_n_max_is_refused_by_name_before_any_solve(solves, n_max):
+    message = f"n_max must be an integer from 0 to 9, got {n_max}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_sector((1, 1), NU44, SCALE, [1], n_max)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle_energies(_problem(1, 1, NU44), n_max)
+    assert solves == []
 
 
 def test_validate_sector_rows_do_not_depend_on_the_scale():

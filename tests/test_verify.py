@@ -71,14 +71,19 @@ def test_angular_suite_builds_each_basis_and_image_once(monkeypatch):
 
 def test_the_residual_bound_fails_a_perturbed_weight(monkeypatch):
     # w2 off by 1e-9 relative in both branches, so they stay conjugate: only
-    # that case's residual check fails, and it names the case
+    # that case's residual check fails, and it names the case.  The suite
+    # builds the even parity for (1, 1) and then (-1, -1): perturb the second
     exact = verify.angular_eigenpairs
     params = WignerParams(F(1, 5), F(-2, 5))
-    case = (F(3), (-1, -1), params)
+    case = (F(3), 1, params)
+    builds = []
 
-    def perturbed(ell, sector, params):
-        pairs = exact(ell, sector, params)
-        if (ell, sector, params) != case:
+    def perturbed(ell, epsilon, params):
+        pairs = exact(ell, epsilon, params)
+        if (ell, epsilon, params) != case:
+            return pairs
+        builds.append(case)
+        if len(builds) != 2:
             return pairs
         return tuple(replace(p, weights=(p.weights[0], p.weights[1] * (1 + 1e-9)))
                      for p in pairs)
@@ -107,7 +112,8 @@ def test_the_residual_bound_covers_the_exact_residual_at_sampled_angles():
         params = WignerParams(*nu)
         for sector in SECTORS:
             for ell in lowest_ells(sector[0] * sector[1], 5):
-                pair = verify.angular_eigenpairs(ell, sector, params)[0]
+                pair = verify.angular_eigenpairs(ell, sector[0] * sector[1],
+                                                 params)[0]
                 lam, bound = F(pair.lam), verify._residual_bound(pair)
                 re, im = TrigPoly(), TrigPoly()
                 for w, f in zip(pair.weights, pair.basis):
