@@ -6,7 +6,8 @@ scripts/make_figures.py into a temporary directory and compares every tau
 and every value with the double nearest to its documented closed form,
 evaluated with mpmath from 60 and from 120 significant digits up (see
 ``rounded``).  Prints the
-counts and exits 1 on any difference.
+counts, with the number of values that went to the package's decimal
+fallback (``rounding.settle``), and exits 1 on any difference.
 
     python scripts/check_rounding.py [--mode consistent|paper-faithful]
 
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import mpmath
 
+from dunkl_pauli import rounding
 from dunkl_pauli.cli import main as cli_main
 
 DIGITS = (60, 120)
@@ -133,7 +135,15 @@ def main() -> int:
                     choices=("consistent", "paper-faithful"))
     args = ap.parse_args()
     grids = {d: expected_grid(0.01, 10.0, 400, d) for d in DIGITS}
-    checked = wrong = 0
+    checked = wrong = fallbacks = 0
+    settle = rounding.settle
+
+    def counted(*settle_args):
+        nonlocal fallbacks
+        fallbacks += 1
+        return settle(*settle_args)
+
+    rounding.settle = counted
     with tempfile.TemporaryDirectory() as out:
         for fig in range(1, 9):
             if cli_main(["figure", "--figure", str(fig), "--out", out,
@@ -155,7 +165,8 @@ def main() -> int:
                           f"want {want[0]}")
                 wrong += bad
     print(f"{checked} numbers checked, {wrong} differ from the correctly "
-          f"rounded closed form")
+          f"rounded closed form; {fallbacks} values of the bundle went to "
+          f"the decimal fallback (settle)")
     return 1 if wrong else 0
 
 

@@ -54,7 +54,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .algebra import WignerParams
 from .angular import lambda_value
-from .spectrum import OscillatorScale, SectorState, energy_over_omega_c
+from .spectrum import SECTORS, OscillatorScale, SectorState, energy_over_omega_c
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,11 @@ def build_tridiagonal(problem: RadialProblem, n: int):
     return a / r ** 2 + v_rest, -1.0 / (h ** 2 * r[:-1] * r[1:])
 
 
+def _check_integer(name: str, v, lo: int, hi: int) -> None:
+    if not (isinstance(v, Integral) and lo <= v <= hi):
+        raise ValueError(f"{name} must be an integer from {lo} to {hi}, got {v!r}")
+
+
 def lowest_eigenvalues(matrix, k: int, bracket=None):
     """k smallest eigenvalues of the symmetric tridiagonal (diag, off) pair,
     ascending, via LAPACK bisection on Sturm sequences to absolute 1e-13.
@@ -110,8 +115,7 @@ def lowest_eigenvalues(matrix, k: int, bracket=None):
     discretization error that oracle_energies extrapolates away.  A bracket
     (vl, vu] with vl below the spectrum is bisected for its first k levels;
     if it holds fewer, or k = 1, the full range is searched instead."""
-    if k > 10:
-        raise ValueError(f"at most 10 eigenvalues supported, got k={k}")
+    _check_integer("k", k, 1, 10)
     diag, off = (np.asarray(a, dtype=float) for a in matrix)
     bisect = dict(eigvals_only=True, lapack_driver="stebz", tol=1e-13)
     if bracket is not None and k > 1:
@@ -127,8 +131,7 @@ def oracle_energies(problem: RadialProblem, n_max: int):
     """Oracle E/omega_c for n = 0..n_max: Richardson extrapolation of the
     solves at GRID_POINTS and 2*GRID_POINTS + 1 nodes (step h and h/2); the
     coarse levels bracket the fine ones (module doc); 0 <= n_max <= 9."""
-    if not (isinstance(n_max, Integral) and 0 <= n_max <= 9):
-        raise ValueError(f"n_max must be an integer from 0 to 9, got {n_max!r}")
+    _check_integer("n_max", n_max, 0, 9)
     coarse = lowest_eigenvalues(build_tridiagonal(problem, GRID_POINTS), n_max + 1)
     bracket = None if n_max == 0 else (
         problem.lam - 1.0, coarse[-1] + (coarse[-1] - coarse[-2]) / 2.0)
@@ -180,9 +183,13 @@ def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int,
     """One report per sector: oracle eigenvalues (oracle_energies) against
     the closed forms for every ell in ell_list, n <= n_max and both spins,
     from one solve per (eps, ell), shifted per row (module doc), on the
-    positive lam branch.  A mismatch above tolerance is reported, not raised."""
-    reports = [SectorReport(eps1, eps2, params, tolerance)
-               for eps1, eps2 in sectors]
+    positive lam branch, after checking n_max and every label.  A mismatch
+    above tolerance is reported, not raised."""
+    _check_integer("n_max", n_max, 0, 9)
+    sectors = [tuple(sector) for sector in sectors]
+    if bad := [sector for sector in sectors if sector not in SECTORS]:
+        raise ValueError(f"sector labels must be +/-1, got {bad[0]}")
+    reports = [SectorReport(*sector, params, tolerance) for sector in sectors]
     nu1, nu2 = params.as_floats()
     for ell in map(Fraction, ell_list):
         levels = {epsilon: oracle_energies(RadialProblem(

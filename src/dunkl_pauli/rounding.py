@@ -3,8 +3,8 @@
 A closed form is written once as ``terms(num, *args) -> (exact, t)``.  Its
 value is ``sum(exact) + t``: ``exact`` is a tuple of doubles, summed without
 rounding, and ``t`` is built from ``num.const(a)``, the arguments, Python
-numbers, the operators ``+ - * /``, ``num.exp`` and ``num.log1p`` of one
-number each, and ``num.ln2``, ``num.ln10``; ``num.choose(cond, f, g)``
+numbers, the operators ``+ - * /`` and ``num.exp`` and ``num.log1p`` of
+one number each, so ln 2 is ``num.log1p(1)``; ``num.choose(cond, f, g)``
 picks a branch per element.  :func:`round_curve` evaluates it elementwise
 over broadcast argument arrays, so that many curves sharing one closed
 form take one call, and returns for each element the double nearest to
@@ -24,7 +24,7 @@ The method is Ziv's (A. Ziv, ACM TOMS 17(3), 1991), in two steps:
    real number within its error bound rounds to the same double.
 2. **Decimal fallback** (:func:`settle`), the one exact decision, for every
    value that fails the test: the same closed form in ``decimal``
-   arithmetic, whose ``exp``, ``ln`` and ``log10`` are correctly rounded,
+   arithmetic, whose ``exp`` and ``ln`` are correctly rounded,
    with the same kind of error bound, at 40, 80, ... digits up to a cap;
    the ends of its interval, clamped in ``_ends``, are rounded in exact
    rational arithmetic.  Past the cap it raises ``ValueError``.
@@ -152,9 +152,6 @@ class _DD:
                + _MUL * abs(hi) + _TINY)
         return _DD(hi, lo, err)
 
-    def __rtruediv__(self, other):
-        return _dd(other) / self
-
 
 def _dd(v) -> _DD:
     return v if isinstance(v, _DD) else _DD(v)
@@ -162,10 +159,9 @@ def _dd(v) -> _DD:
 
 @functools.cache
 def _constants() -> SimpleNamespace:
-    """Double-double constants, each within 2**-105 relative of its value:
-    the reduction step ln2/4096 split so that k*l1 is exact for |k| < 2**23,
-    the tables 2**(j/64) and 2**(j/4096) for j < 64 (hi and lo parts), ln 2
-    and ln 10."""
+    """Double-double constants of ``_exp``, each within 2**-105 relative:
+    the step ln2/4096 split so that k*l1 is exact for |k| < 2**23, and the
+    tables 2**(j/64) and 2**(j/4096) for j < 64 (hi and lo parts)."""
     ctx = Context(prec=60)
     ln2 = ctx.ln(2)
 
@@ -184,8 +180,7 @@ def _constants() -> SimpleNamespace:
     return SimpleNamespace(inv_step=float(ctx.divide(4096, ln2)),
                            l1=l1, l2=l2, l3=l3,
                            tables=[list(col) for n in (64, 4096)
-                                   for col in zip(*table(n))],
-                           ln2=split(ln2), ln10=split(ctx.ln(10)))
+                                   for col in zip(*table(n))])
 
 
 def _exp(xp, a: _DD) -> _DD:
@@ -275,14 +270,6 @@ class _Path:
     const = _DD
     exp = classmethod(_exp)
     log1p = classmethod(_log1p)
-
-    @staticmethod
-    def ln2():
-        return _DD(*_constants().ln2, 2.0 ** -104)
-
-    @staticmethod
-    def ln10():
-        return _DD(*_constants().ln10, 2.0 ** -102)
 
 
 class _Arrays(_Path):
@@ -405,9 +392,6 @@ class _Dec:
         spread = _up(self.err, _UP.multiply(_UP.multiply(2, v.copy_abs()), o.err))
         return self._round(v, _UP.divide(spread, den))
 
-    def __rtruediv__(self, other):
-        return self.num.coerce(other) / self
-
 
 class _Exact:
     """Number constructors and functions of the decimal fallback at ``prec``
@@ -424,9 +408,6 @@ class _Exact:
     def const(self, v) -> _Dec:
         return _Dec(Decimal(float(v)) if not isinstance(v, int) else Decimal(v),
                     Decimal(0), self)
-
-    def _exact(self, v) -> _Dec:
-        return _Dec(v, _UP.multiply(v.copy_abs(), self.rel), self)
 
     choose = staticmethod(_Floats.choose)
 
@@ -458,21 +439,6 @@ class _Exact:
         v = self.ctx.ln(one_w)
         return _Dec(v, _up(_UP.divide(w.err, den),
                            _UP.multiply(v.copy_abs(), self.rel)), self)
-
-    def log10(self, a: _Dec) -> _Dec:
-        """log10 of a positive value; |d log10| <= |da| / a since ln 10 > 1."""
-        den = _DOWN.subtract(a.v, a.err)
-        if not den > 0:
-            return _Dec(Decimal(0), _INF, self)
-        v = self.ctx.log10(a.v)
-        return _Dec(v, _up(_UP.divide(a.err, den),
-                           _UP.multiply(v.copy_abs(), self.rel)), self)
-
-    def ln2(self):
-        return self._exact(self.ctx.ln(2))
-
-    def ln10(self):
-        return self._exact(self.ctx.ln(10))
 
 
 # -------------------------------------------------------------------- rounding

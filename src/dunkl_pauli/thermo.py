@@ -22,7 +22,7 @@ eta), so that ``sweeps`` takes all the ladders of a figure panel on one
 temperature grid in a single call.  ``log_grid`` returns the correctly
 rounded points 10**y_i of the log-spaced grid y_i = i*step + lo,
 step = (hi - lo)/(steps - 1), with lo and hi the correctly rounded log10 of
-its exact endpoints.  Every value is therefore
+its exact endpoints, both from ``round_curve`` too.  Every value is therefore
 the same on every IEEE-754 platform, whatever its libm or SIMD dispatch.
 A value the decimal fallback cannot settle, which happens only far outside
 x in [1e-3, 700], raises ValueError.
@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rounding import _two_sum, round_curve, settle
+from .rounding import _two_sum, round_curve
 
 MODES = ("consistent", "paper-faithful")
 
@@ -173,7 +173,7 @@ def _curve_terms(quantity: str, mode: str):
         S = -log1p(-q) + x q/(1 - q) + log1p(p) + 2y p/(1 + p)
 
     except the last entropy term in paper-faithful mode, -2y p/(1 - p), or
-    its limit log(2) - 1 where eta == 0.  The linear part of log Z is left
+    its limit log1p(1) - 1 where eta == 0.  The linear part of log Z is left
     out where e - 1/2 - rho is exactly 0: there its rounding error would
     swamp the exponentially small rest.  Both branches are taken per
     element (``num.choose``).  A ``_DD`` stays the left operand of every
@@ -204,7 +204,7 @@ def _curve_terms(quantity: str, mode: str):
         s = X * q / omq - lq
         if mode == "consistent":
             return (), s + lp + 2 * Y * p / opp
-        return (), num.choose(e == 0, lambda: s + (num.ln2() - 1),
+        return (), num.choose(e == 0, lambda: s + (num.log1p(num.const(1)) - 1),
                               lambda: s + lp - 2 * Y * p / (1 - p))
 
     return terms
@@ -253,19 +253,22 @@ def sweep(quantity: str, template: ThermoInputs, tau_grid) -> ThermoCurve:
 
 
 def _pow10_terms(num, y):
-    return (), num.exp(num.const(y) * num.ln10())
+    return (), num.exp(num.const(y) * num.log1p(num.const(9)))
+
+
+def _log10_terms(num, t):
+    return (), num.log1p(num.const(t) - 1) / num.log1p(num.const(9))
 
 
 def log_grid(t_min: float, t_max: float, steps: int) -> tuple[float, ...]:
     """``steps`` log-spaced temperatures from t_min to t_max, both kept exact.
 
     The exponents follow numpy's ``geomspace``: y_i = i*step + lo with
-    step = (hi - lo)/(steps - 1), where lo and hi are the correctly rounded
-    log10 of the endpoints; each interior point is 10**y_i correctly rounded.
+    step = (hi - lo)/(steps - 1); lo and hi, the log10 of the endpoints, and
+    each interior point 10**y_i are correctly rounded by ``round_curve``.
     Raises ValueError if two rounded points coincide (too many steps).
     """
-    lo, hi = (settle(lambda num, t: ((), num.log10(num.const(t))), t)
-              for t in (t_min, t_max))
+    lo, hi = round_curve(_log10_terms, (t_min, t_max))
     y = np.arange(steps) * ((hi - lo) / (steps - 1)) + lo
     whole = y == np.floor(y)  # 10**y is rational here (10**23 is a tie)
     taus = np.empty(steps)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from dunkl_pauli import rounding
 from dunkl_pauli.cli import main
 
 
@@ -21,3 +22,20 @@ def verify_run(tmp_path_factory):
     elapsed = time.monotonic() - t0
     return SimpleNamespace(code=code, out=stdout.getvalue(),
                            report=report_file.read_text(), elapsed=elapsed)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """A list whose length counts the values that missed the fast test: the
+    ``rounding.settle`` calls, each seen as its first decimal evaluation, so
+    that a caller holding its own reference to ``settle`` is counted too."""
+    calls = []
+
+    class Counted(rounding._Exact):
+        def __init__(self, prec):
+            if prec == rounding._PRECISIONS[0]:
+                calls.append(prec)
+            super().__init__(prec)
+
+    monkeypatch.setattr(rounding, "_Exact", Counted)
+    return calls

@@ -50,9 +50,11 @@ def test_lowest_eigenvalues_trivial_diagonal():
     assert vals == pytest.approx([2.0, 3.0])
 
 
-def test_lowest_eigenvalues_rejects_large_k():
-    with pytest.raises(ValueError):
-        lowest_eigenvalues((np.ones(20), np.zeros(19)), 11)
+@pytest.mark.parametrize("k", [0, -1, 1.5, 11])
+def test_lowest_eigenvalues_rejects_large_k(k):
+    message = f"k must be an integer from 1 to 10, got {k}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lowest_eigenvalues((np.ones(20), np.zeros(19)), k)
 
 
 def test_dirichlet_laplacian_ground_mode():
@@ -285,6 +287,18 @@ def test_a_bad_n_max_is_refused_by_name_before_any_solve(solves, n_max):
         validate_sector((1, 1), NU44, SCALE, [1], n_max)
     with pytest.raises(ValueError, match=re.escape(message)):
         oracle_energies(_problem(1, 1, NU44), n_max)
+    assert solves == []
+
+
+@pytest.mark.parametrize("sectors, ell_list, n_max, message", [
+    ([(1, 1)], [], -5, "n_max must be an integer from 0 to 9, got -5"),
+    ([(1, 1), (2, 1)], [1], 2, "sector labels must be +/-1, got (2, 1)"),
+    ([(1,)], [1], 2, "sector labels must be +/-1, got (1,)"),
+], ids=["n_max", "label", "short label"])
+def test_validate_sectors_checks_its_input_before_any_solve(
+        solves, sectors, ell_list, n_max, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_sectors(sectors, NU44, ell_list, n_max)
     assert solves == []
 
 

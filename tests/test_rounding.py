@@ -98,7 +98,11 @@ def test_scalar_entropy_at_high_temperature_equals_mpmath_rounding():
 def test_sampled_grid_points_equal_mpmath_rounding():
     ref = _reference()
     rng = random.Random(7)
-    for grid_args in ((0.01, 10.0, 400), (1 / 700, 1000.0, 24)):
+    # the extreme ends reach the decimal fallback through log1p(t - 1)
+    for grid_args in ((0.01, 10.0, 400), (1 / 700, 1000.0, 24),
+                      (5e-324, 1.0, 7), (1e-310, 2.0, 7),
+                      (2.2250738585072014e-308, 3.0, 5),
+                      (1e-3, 1.7976931348623157e308, 7)):
         got = log_grid(*grid_args)
         want = [ref.expected_grid(*grid_args, digits) for digits in (60, 120)]
         assert want[0] == want[1]
@@ -151,10 +155,12 @@ def test_decimal_fallback_rounds_values_beyond_the_double_range(y, value):
     assert got == -value and math.copysign(1.0, got) == -1.0
 
 
-def test_paper_faithful_bundle_matches_its_pins(tmp_path):
+def test_paper_faithful_bundle_matches_its_pins(tmp_path, fallbacks):
     for fig in range(1, 9):
         assert cli_main(["figure", "--figure", str(fig), "--mode",
                          "paper-faithful", "--out", str(tmp_path)]) == 0
+    # every value takes the fast test first; these bounds may only fall
+    assert len(fallbacks) <= 176
     pinned = json.loads((ROOT / "tests" / "data" /
                          "figure_checksums_paper_faithful.json").read_text())
     produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -304,27 +304,14 @@ def _bytes(values):
     return np.array(values, dtype=float).tobytes()
 
 
-def _count_fallbacks(monkeypatch):
-    """A list whose length counts the values that missed the fast test."""
-    calls, settle = [], rounding.settle
-
-    def counted(*args):
-        calls.append(args)
-        return settle(*args)
-
-    monkeypatch.setattr(rounding, "settle", counted)
-    return calls
-
-
 @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
-def test_sweeps_equal_one_sweep_per_template_bit_for_bit(monkeypatch, quantity):
-    calls = _count_fallbacks(monkeypatch)
+def test_sweeps_equal_one_sweep_per_template_bit_for_bit(fallbacks, quantity):
     for grid in BATCH_GRIDS:
         for mode in MODES:
             templates = [ThermoInputs(1.0, r, h, mode) for r, h in BATCH]
-            before = len(calls)
+            before = len(fallbacks)
             batched = sweeps(quantity, templates, grid)
-            assert len(calls) > before  # the fallback ran
+            assert len(fallbacks) > before  # the fallback ran
             assert [c.provenance for c in batched] == templates
             for template, curve in zip(templates, batched):
                 alone = sweep(quantity, template, grid)
