@@ -354,16 +354,21 @@ class _Dec:
     def __init__(self, v, err, num):
         self.v, self.err, self.num = v, _INF if err.is_nan() else err, num
 
-    def _round(self, v, err):
-        return _Dec(v, _up(err, _UP.multiply(v.copy_abs(), self.num.rel)),
-                    self.num)
+    def _rounded(self, op, other):
+        """op(self.v, other.v) in the backend's context and its rounding
+        error: rel * |v|, or 0 where the operation was exact."""
+        ctx = self.num.ctx
+        ctx.clear_flags()
+        v = op(self.v, other.v)
+        return v, _UP.multiply(v.copy_abs(), self.num.rel) if ctx.flags[Inexact] else 0
 
     def __neg__(self):
         return _Dec(self.v.copy_negate(), self.err, self.num)
 
     def __add__(self, other):
         o = self.num.coerce(other)
-        return self._round(self.num.ctx.add(self.v, o.v), _up(self.err, o.err))
+        v, r = self._rounded(self.num.ctx.add, o)
+        return _Dec(v, _up(r, self.err, o.err), self.num)
 
     __radd__ = __add__
 
@@ -375,10 +380,10 @@ class _Dec:
 
     def __mul__(self, other):
         o = self.num.coerce(other)
-        return self._round(self.num.ctx.multiply(self.v, o.v),
-                           _up(_UP.multiply(self.v.copy_abs(), o.err),
-                               _UP.multiply(o.v.copy_abs(), self.err),
-                               _UP.multiply(self.err, o.err)))
+        v, r = self._rounded(self.num.ctx.multiply, o)
+        return _Dec(v, _up(r, _UP.multiply(self.v.copy_abs(), o.err),
+                           _UP.multiply(o.v.copy_abs(), self.err),
+                           _UP.multiply(self.err, o.err)), self.num)
 
     __rmul__ = __mul__
 
@@ -387,10 +392,10 @@ class _Dec:
         den = _DOWN.subtract(o.v.copy_abs(), o.err)
         if not den > 0:
             return _Dec(Decimal(0), _INF, self.num)
-        v = self.num.ctx.divide(self.v, o.v)
+        v, r = self._rounded(self.num.ctx.divide, o)
         # |a/b| <= 2|v| covers the rounding of v
         spread = _up(self.err, _UP.multiply(_UP.multiply(2, v.copy_abs()), o.err))
-        return self._round(v, _UP.divide(spread, den))
+        return _Dec(v, _up(r, _UP.divide(spread, den)), self.num)
 
 
 class _Exact:

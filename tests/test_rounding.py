@@ -139,6 +139,14 @@ def test_decimal_fallback_raises_at_its_precision_cap(monkeypatch):
         rounding.settle(terms, 2.5, 0.8, 0.3)
 
 
+def test_decimal_fallback_settles_an_exact_midpoint():
+    # 0.7 * 3/2 needs 54 bits: it lies halfway between two doubles, and an
+    # exact decimal product carries no rounding error, so ties go to even
+    got = rounding.round_curve(lambda num, t: ((), num.const(t) * 1.5), (0.5, 0.7))
+    assert got == [0.75, float(Fraction(0.7) * Fraction(3, 2))]
+    assert got == [0.75, 1.0499999999999998]
+
+
 def _negated_pow10_terms(num, y):
     return (), -thermo._pow10_terms(num, y)[1]
 

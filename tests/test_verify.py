@@ -7,7 +7,7 @@ from pathlib import Path
 from dunkl_pauli import angular, verify
 from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.angular import TrigPoly
-from dunkl_pauli.spectrum import SECTORS, lowest_ells
+from dunkl_pauli.spectrum import lowest_ells
 from dunkl_pauli.verify import SuiteResult
 
 PINNED_REPORT = Path(__file__).parent / "data" / "verify_report.txt"
@@ -45,9 +45,11 @@ def test_a_failing_suite_check_reports_its_description(monkeypatch):
 
 
 def test_angular_suite_builds_each_basis_and_image_once(monkeypatch):
-    # one sector_basis and two apply_G calls per eigenpair case, for both
-    # branches and the residual; three apply_G calls per random polynomial
-    calls = {"sector_basis": 0, "apply_G": 0}
+    # one sector_basis and two apply_G calls per (nu, parity, ell) case, for
+    # both branches and the residual, checked for each sector of the parity;
+    # three apply_G calls per random polynomial.  The spectrum suite computes
+    # each case's exact radical identity once as well
+    calls = {"sector_basis": 0, "apply_G": 0, "radical_identity_check": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -60,19 +62,24 @@ def test_angular_suite_builds_each_basis_and_image_once(monkeypatch):
     apply_G = counting("apply_G", angular.apply_G)
     monkeypatch.setattr(angular, "apply_G", apply_G)
     monkeypatch.setattr(verify, "apply_G", apply_G)  # verify binds it by name
+    monkeypatch.setattr(verify, "radical_identity_check", counting(
+        "radical_identity_check", verify.radical_identity_check))
     n_funcs = 3
     res = verify.run_angular_suite(n_funcs=n_funcs)
-    ells = [lowest_ells(e1 * e2, 5) for e1, e2 in SECTORS]
-    assert all(ell > 0 for sector_ells in ells for ell in sector_ells)
+    ells = [lowest_ells(epsilon, 5) for epsilon in (1, -1)]
+    assert all(ell > 0 for parity_ells in ells for ell in parity_ells)
     cases = len(verify.NU_GRID) * sum(map(len, ells))
-    assert (res.passed, res.failed) == (2 * n_funcs + 3 * cases, 0)
-    assert calls == {"sector_basis": cases, "apply_G": 3 * n_funcs + 2 * cases}
+    assert cases == 250
+    assert (res.passed, res.failed) == (2 * n_funcs + 6 * cases, 0)
+    assert verify.run_spectrum_suite().ok
+    assert calls == {"sector_basis": cases, "apply_G": 3 * n_funcs + 2 * cases,
+                     "radical_identity_check": cases}
 
 
 def test_the_residual_bound_fails_a_perturbed_weight(monkeypatch):
     # w2 off by 1e-9 relative in both branches, so they stay conjugate: only
-    # that case's residual check fails, and it names the case.  The suite
-    # builds the even parity for (1, 1) and then (-1, -1): perturb the second
+    # that build's residual checks fail, one per sector of the even parity,
+    # and each names its sector
     exact = verify.angular_eigenpairs
     params = WignerParams(F(1, 5), F(-2, 5))
     case = (F(3), 1, params)
@@ -83,23 +90,23 @@ def test_the_residual_bound_fails_a_perturbed_weight(monkeypatch):
         if (ell, epsilon, params) != case:
             return pairs
         builds.append(case)
-        if len(builds) != 2:
-            return pairs
         return tuple(replace(p, weights=(p.weights[0], p.weights[1] * (1 + 1e-9)))
                      for p in pairs)
 
     monkeypatch.setattr(verify, "angular_eigenpairs", perturbed)
     res = verify.run_angular_suite(n_funcs=0)
-    assert (res.passed, res.failed) == (1499, 1)
-    (message,) = res.counterexamples
-    head = f"G Theta != -i lam Theta at ell=3, sector=(-1,-1), nu={params}: resid "
-    assert message.startswith(head)
+    assert len(builds) == 1
+    assert (res.passed, res.failed) == (1498, 2)
     lam = exact(*case)[0].lam
-    assert float(message[len(head):]) > 1e-11 * abs(lam)
+    for sector, message in zip(("(1,1)", "(-1,-1)"), res.counterexamples):
+        head = (f"G Theta != -i lam Theta at ell=3, sector={sector}, "
+                f"nu={params}: resid ")
+        assert message.startswith(head)
+        assert float(message[len(head):]) > 1e-11 * abs(lam)
 
 
 def test_the_residual_bound_covers_the_exact_residual_at_sampled_angles():
-    # on each of the suite's 500 cases the all-theta bound is at least
+    # on each of the suite's 250 builds the all-theta bound is at least
     # |G Theta + i lam Theta| of the float eigenpair, built exactly from
     # apply_G and evaluated exactly at the (cos, sin) doubles of the 36
     # angles the suite once sampled.  The float residual there can exceed
@@ -110,10 +117,9 @@ def test_the_residual_bound_covers_the_exact_residual_at_sampled_angles():
     cases = 0
     for nu in verify.NU_GRID:
         params = WignerParams(*nu)
-        for sector in SECTORS:
-            for ell in lowest_ells(sector[0] * sector[1], 5):
-                pair = verify.angular_eigenpairs(ell, sector[0] * sector[1],
-                                                 params)[0]
+        for epsilon in (1, -1):
+            for ell in lowest_ells(epsilon, 5):
+                pair = verify.angular_eigenpairs(ell, epsilon, params)[0]
                 lam, bound = F(pair.lam), verify._residual_bound(pair)
                 re, im = TrigPoly(), TrigPoly()
                 for w, f in zip(pair.weights, pair.basis):
@@ -121,9 +127,9 @@ def test_the_residual_bound_covers_the_exact_residual_at_sampled_angles():
                     re, im = re + g * r - f * (lam * i), im + g * i + f * (lam * r)
                 for c, s in angles:
                     x, y = (p.even.evaluate(c) + s * p.odd.evaluate(c) for p in (re, im))
-                    assert x * x + y * y <= bound * bound, (ell, sector, params)
+                    assert x * x + y * y <= bound * bound, (ell, epsilon, params)
                 cases += 1
-    assert cases == 500
+    assert cases == 250
 
 
 def test_verify_report_matches_the_pinned_text(verify_run):
