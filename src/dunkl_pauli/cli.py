@@ -104,11 +104,7 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(
                 f"figure must be 1-8 with optional panel a-d, got {fig!r}")
         args.fig_num, args.panels = int(fig[0]), fig[1:] or "abcd"
-    if "steps" in args:
-        if not 0 < args.tmin < args.tmax < math.inf:
-            raise ValueError("need 0 < tmin < tmax, both finite")
-        if args.steps < 2:
-            raise ValueError("need at least 2 grid points")
+    if "steps" in args:  # log_grid refuses a bad tmin, tmax or steps
         from .thermo import log_grid
         args.taus = log_grid(args.tmin, args.tmax, args.steps)
 
@@ -186,9 +182,14 @@ def _sweeps(args: argparse.Namespace, quantity: str, ladders):
             f"[{args.tmin:g}, {args.tmax:g}]: {exc}") from None
 
 
-def _thermo_csv(args: argparse.Namespace, curve, ladder, tau_column) -> str:
-    """The CSV of one ladder's finished curve; ``tau_column`` is its grid,
-    formatted."""
+def _rows(taus) -> str:
+    """A thermo CSV's data rows on ``taus``: a %-template for its float values."""
+    return "".join(f"{_fmt(t)},%.17g\n" for t in taus)
+
+
+def _thermo_csv(args: argparse.Namespace, curve, ladder, rows: str) -> str:
+    """The CSV of one ladder's finished curve; ``rows`` is ``_rows`` of its
+    grid."""
     sector, params, ell, rh, et = ladder
     nu1, nu2 = params.as_floats()
     lines = [
@@ -204,9 +205,7 @@ def _thermo_csv(args: argparse.Namespace, curve, ladder, tau_column) -> str:
         f"# eta = {_fmt(et)}",
         "tau,value",
     ]
-    # the values are floats: _fmt's format without its float() call
-    lines += [f"{t},{v:.17g}" for t, v in zip(tau_column, curve.values)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + rows % curve.values
 
 
 def cmd_thermo(args: argparse.Namespace) -> int:
@@ -215,8 +214,7 @@ def cmd_thermo(args: argparse.Namespace) -> int:
         ell = lowest_ells(sector[0] * sector[1], 1)[0]
     ladder = (sector, params, ell, *_ladder(sector, params, ell, args.sign))
     [curve] = _sweeps(args, args.quantity, [ladder])
-    _write_text(args.out, _thermo_csv(args, curve, ladder,
-                                      [_fmt(t) for t in args.taus]))
+    _write_text(args.out, _thermo_csv(args, curve, ladder, _rows(args.taus)))
     return 0
 
 
@@ -268,7 +266,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
               "t_min": args.tmin, "t_max": args.tmax, "steps": args.steps,
               "out": args.out}
     provenance = _provenance()
-    tau_column = [_fmt(t) for t in args.taus]
+    rows = _rows(args.taus)
     files = {}
     for panel, curves in panels.items():
         manifest = {
@@ -282,7 +280,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         for (label, ladder), curve in zip(curves, _sweeps(args, quantity, ladders)):
             sector, params, ell, rh, et = ladder
             fname = f"fig{args.fig_num}{panel}_{quantity}_{label}.csv"
-            files[fname] = _thermo_csv(args, curve, ladder, tau_column)
+            files[fname] = _thermo_csv(args, curve, ladder, rows)
             nu1, nu2 = params.as_floats()
             manifest["curves"].append({
                 "file": fname,

@@ -6,10 +6,11 @@ rounding, and ``t`` is built from ``num.const(a)``, the arguments, Python
 numbers, the operators ``+ - * /`` and ``num.exp`` and ``num.log1p`` of
 one number each, so ln 2 is ``num.log1p(1)``; ``num.choose(cond, f, g)``
 picks a branch per element.  :func:`round_curve` evaluates it elementwise
-over broadcast argument arrays, so that many curves sharing one closed
-form take one call, and returns for each element the double nearest to
-that exact value (ties to even), that is the correctly rounded result,
-which every IEEE-754 platform reproduces bit for bit.
+over broadcast argument arrays, each subexpression at its own arguments'
+broadcast shape, so that curves sharing a closed form and a grid take one
+call that computes the grid's own factors once, and returns for each
+element the correctly rounded double of that exact value (nearest, ties
+to even), which every IEEE-754 platform reproduces bit for bit.
 
 The method is Ziv's (A. Ziv, ACM TOMS 17(3), 1991), in two steps:
 
@@ -484,8 +485,10 @@ class Unsettled(ValueError):
 
 
 def settle(terms, *args: float) -> float:
-    """The correctly rounded value of ``terms`` at the scalars ``args`` from
-    the decimal evaluation, at increasing precision up to the cap."""
+    """The correctly rounded value of ``terms`` at finite scalars ``args``
+    from the decimal evaluation, at increasing precision up to the cap."""
+    if not all(map(math.isfinite, args)):
+        raise ValueError(f"no correctly rounded value at the non-finite {args}")
     for prec in _PRECISIONS:
         exact, t = terms(_Exact(prec), *args)
         if t.v.is_finite() and t.err.is_finite():
@@ -535,20 +538,20 @@ def _fill(out: list, indices, value) -> list:
 def round_curve(terms, *args) -> list[float]:
     """Correctly rounded values of ``terms`` at every element of the
     broadcast ``args``, in C order (an (n,) and a (k, 1) argument give k
-    runs of n values): vectorised for long arrays, point by point in Python
-    floats up to ``_SHORT`` elements, where numpy's per-call cost would
-    dominate.  Raises :class:`Unsettled` for an element the decimal
-    fallback cannot settle; its ``index`` counts in the same order."""
+    runs of n values): vectorised for long arrays, each subexpression at its
+    arguments' broadcast shape, and point by point in Python floats up to
+    ``_SHORT`` elements, where numpy's per-call cost would dominate.  Raises
+    :class:`Unsettled` for an element the decimal fallback cannot settle,
+    a non-finite one among them; its ``index`` counts in the same order."""
     args = [np.asarray(a, dtype=float) for a in args]
     grid = np.broadcast(*args)
     if grid.size <= _SHORT:
         points = [tuple(map(float, p)) for p in grid]
         return _fill([0.0] * grid.size, range(grid.size),
                      lambda i: _round_point(terms, points[i]))
-    args = [np.broadcast_to(a, grid.shape).ravel() for a in args]
     with np.errstate(all="ignore"):
         exact, t = terms(_Arrays, *args)
-        t = _DD(*(np.broadcast_to(f, args[0].shape) for f in (t.hi, t.lo, t.err)))
-        hi, ok = _rounded(exact, t)
-    return _fill(hi.tolist(), np.flatnonzero(~ok).tolist(),
-                 lambda i: settle(terms, *(float(a[i]) for a in args)))
+        t = _DD(*(np.broadcast_to(f, grid.shape) for f in (t.hi, t.lo, t.err)))
+        hi, ok = (v.ravel() for v in _rounded(exact, t))
+    return _fill(hi.tolist(), np.flatnonzero(~ok).tolist(), lambda i: settle(
+        terms, *(float(np.broadcast_to(a, grid.shape).flat[i]) for a in args)))

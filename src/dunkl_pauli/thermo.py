@@ -156,10 +156,9 @@ QUANTITIES = {
 
 
 def _curve_terms(quantity: str, mode: str):
-    """The closed form of one quantity in one mode as
-    ``terms(num, x, rho, e) -> (exact, t)`` for :mod:`.rounding`, with
-    e = |eta|: the value is ``sum(exact) + t``.  The arguments are floats,
-    or on the vectorised path float arrays of one point per element.
+    """The closed form ``terms(num, x, rho, e) -> (exact, t)`` of one quantity
+    in one mode for :mod:`.rounding`, e = |eta|, of value ``sum(exact) + t``;
+    x, rho and e are floats or float arrays that broadcast together.
 
     With y = x*e, q = exp(-x) and p = exp(-2y), the closed forms of the
     functions above regroup into sums whose terms, exact doubles apart,
@@ -215,17 +214,17 @@ def sweeps(quantity: str, templates, tau_grid) -> list[ThermoCurve]:
     (rho, eta); the templates share one mode.
 
     Each value is the correctly rounded (round-to-nearest) double of the
-    quantity's closed form above at the inputs x = 1.0/tau (the float
-    division), rho and eta: the value the scalar function gives at that x,
-    and the same on every IEEE-754 platform.  All len(templates) *
-    len(tau_grid) points take one ``round_curve`` call, elementwise over
-    (x, rho, eta): one call per figure panel.  ``log_grid`` gives the
-    matching temperature grid.  Raises ValueError for templates of more
-    than one mode or none, for temperatures that are not positive and
-    finite or whose 1/tau overflows (subnormal ones), and (far outside x
-    in [1e-3, 700]) ``rounding.Unsettled`` where the decimal fallback
-    cannot settle a value; its ``index // len(tau_grid)`` is the
-    template's position.
+    quantity's closed form above at x = 1.0/tau (the float division), rho
+    and eta: the value the scalar function gives at that x, and the same on
+    every IEEE-754 platform.  One ``round_curve`` call, one per figure
+    panel, takes x as a row and (rho, |eta|) as a column of the templates,
+    so that a factor of x alone is computed once per temperature.
+    ``log_grid`` gives the matching grid.  Raises ValueError for templates
+    of more than one mode or none, for temperatures that are not positive
+    and finite or whose 1/tau overflows (subnormal ones), and (far outside
+    x in [1e-3, 700]) ``rounding.Unsettled`` where the decimal fallback
+    cannot settle a value; its ``index // len(tau_grid)`` is the template's
+    position.
     """
     if quantity not in QUANTITIES:
         raise ValueError(f"quantity must be one of {sorted(QUANTITIES)}, "
@@ -266,8 +265,13 @@ def log_grid(t_min: float, t_max: float, steps: int) -> tuple[float, ...]:
     The exponents follow numpy's ``geomspace``: y_i = i*step + lo with
     step = (hi - lo)/(steps - 1); lo and hi, the log10 of the endpoints, and
     each interior point 10**y_i are correctly rounded by ``round_curve``.
-    Raises ValueError if two rounded points coincide (too many steps).
+    Raises ValueError unless 0 < t_min < t_max < inf and steps >= 2, and
+    if two rounded points coincide (too many steps).
     """
+    if not 0 < t_min < t_max < math.inf:
+        raise ValueError("need 0 < tmin < tmax, both finite")
+    if steps < 2:
+        raise ValueError("need at least 2 grid points")
     lo, hi = round_curve(_log10_terms, (t_min, t_max))
     y = np.arange(steps) * ((hi - lo) / (steps - 1)) + lo
     whole = y == np.floor(y)  # 10**y is rational here (10**23 is a tie)

@@ -5,12 +5,15 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dunkl_pauli
-from dunkl_pauli.cli import main
+from dunkl_pauli.algebra import WignerParams
+from dunkl_pauli.cli import _fmt, _rows, _thermo_csv, main
+from dunkl_pauli.thermo import ThermoCurve, ThermoInputs
 
 
 def run(capsys, *argv):
@@ -133,6 +136,24 @@ def test_thermo_mode_changes_u_not_z(capsys):
 def test_thermo_invalid_grid_exits_2(capsys):
     code, _, err = run(capsys, "thermo", "--quantity", "Z", "--tmin", "-1")
     assert code == 2 and err.startswith("error:")
+
+
+def test_thermo_csv_rows_format_each_value_as_17_digits():
+    # the rows are one %-template per command; each row still reads as the
+    # f-string it replaces, at the values where the two could part: signed
+    # zero, the smallest subnormal, extreme exponents and a 2**60 that
+    # needs all 17 digits
+    taus = (0.01, 0.1, 0.5, 1.0, 3.0, 10.0)
+    values = (-0.0, 5e-324, 1e-300, 0.1, 1e300, float(2 ** 60))
+    curve = ThermoCurve("U", taus, values, ThermoInputs(1.0, 0.5, 0.25))
+    ladder = ((1, 1), WignerParams(0, 0), 0, 0.5, 0.25)
+    text = _thermo_csv(SimpleNamespace(mode="consistent", sign=1), curve,
+                       ladder, _rows(taus))
+    header, rows = text.split("tau,value\n")
+    assert header.startswith("# dunkl-pauli thermo sweep\n")
+    assert rows.split("\n") == [f"{_fmt(t)},{v:.17g}"
+                                 for t, v in zip(taus, values)] + [""]
+    assert rows.startswith("0.01,-0\n0.10000000000000001,4.9406564584124654e-324\n")
 
 
 def test_thermo_writes_file(tmp_path, capsys):

@@ -147,6 +147,18 @@ def test_decimal_fallback_settles_an_exact_midpoint():
     assert got == [0.75, 1.0499999999999998]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("size", [4, 40], ids=["pointwise", "vectorised"])
+def test_a_non_finite_argument_is_unsettled_at_its_index(fallbacks, bad, size):
+    terms = thermo._curve_terms("S", "consistent")
+    x = [1.0] * size
+    x[size // 2 + 1] = bad
+    with pytest.raises(rounding.Unsettled, match="non-finite") as exc:
+        rounding.round_curve(terms, x, [[0.3], [0.8]], 0.5)
+    assert exc.value.index == size // 2 + 1
+    assert fallbacks == []  # refused before any decimal evaluation
+
+
 def _negated_pow10_terms(num, y):
     return (), -thermo._pow10_terms(num, y)[1]
 

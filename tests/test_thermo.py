@@ -359,8 +359,53 @@ def test_an_unsettled_point_names_its_position(monkeypatch):
     assert exc.value.index // len(grid) == 1
 
 
-# 80 float64 arrays of a nine-curve, 400-point panel
-PANEL_ARRAYS = 80 * 9 * 400 * 8
+@pytest.mark.parametrize("t_min, t_max, steps, message", [
+    (0.01, 10.0, 1, "at least 2 grid points"),
+    (0.01, 10.0, 0, "at least 2 grid points"),
+    (10.0, 0.01, 400, "0 < tmin < tmax"),
+    (1.0, 1.0, 400, "0 < tmin < tmax"),
+    (0.0, 1.0, 400, "0 < tmin < tmax"),
+    (-1.0, 1.0, 400, "0 < tmin < tmax"),
+    (math.nan, 1.0, 400, "0 < tmin < tmax"),
+    (0.01, math.nan, 400, "0 < tmin < tmax"),
+    (0.01, math.inf, 400, "0 < tmin < tmax"),
+])
+def test_log_grid_refuses_bad_arguments_before_any_rounding(
+        monkeypatch, t_min, t_max, steps, message):
+    def no_rounding(*args):
+        raise AssertionError("log_grid rounded a point of a refused grid")
+
+    monkeypatch.setattr(thermo, "round_curve", no_rounding)
+    with pytest.raises(ValueError, match=message):
+        log_grid(t_min, t_max, steps)
+
+
+NINE = [ThermoInputs(1.0, 0.3 * k, 0.1 * k) for k in range(1, 10)]
+# elements through the array path's exp in a nine-ladder, 400-point panel:
+# the factors of x alone (q = exp(-x) and log1p(-q)'s Newton step) are
+# computed once per temperature, those of x*|eta| once per ladder and
+# temperature, and paper-faithful S takes one more, for its ln 2
+PANEL_EXP_ELEMENTS = {"C": 4000, "U": 4000, "Z": 7600, "F": 8000, "S": 8000}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("quantity", sorted(QUANTITIES))
+def test_a_panel_computes_its_grid_factors_once(monkeypatch, quantity, mode):
+    grid, counted = log_grid(0.01, 10.0, 400), []
+
+    def exp(xp, a):
+        if xp is rounding._Arrays:
+            counted.append(np.size(a.hi))
+        return rounding._exp(xp, a)
+
+    monkeypatch.setattr(rounding._Path, "exp", classmethod(exp))
+    sweeps(quantity, [ThermoInputs(t.x, t.rho, t.eta, mode) for t in NINE], grid)
+    extra = quantity == "S" and mode == "paper-faithful"
+    assert sum(counted) <= PANEL_EXP_ELEMENTS[quantity] + extra
+
+
+# 60 float64 arrays of a nine-curve, 400-point panel
+PANEL_ARRAYS = 60 * 9 * 400 * 8
 
 
 @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
@@ -368,14 +413,13 @@ def test_a_panel_sweep_keeps_few_panel_sized_arrays_alive(quantity):
     # each exp and log1p of a closed form is its own vectorised call, so its
     # temporaries die when it returns
     grid = log_grid(0.01, 10.0, 400)
-    templates = [ThermoInputs(1.0, 0.3 * k, 0.1 * k) for k in range(1, 10)]
-    sweeps(quantity, templates, grid)  # warm-up: the kernel's constant tables
+    sweeps(quantity, NINE, grid)  # warm-up: the kernel's constant tables
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         entry = tracemalloc.get_traced_memory()[0]
-        sweeps(quantity, templates, grid)
+        sweeps(quantity, NINE, grid)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         if not tracing:
