@@ -23,9 +23,9 @@ The node below the first is a Frobenius ghost, w_0 = w_1 exp(-kappa h), which
 imposes the regular power r^(1/2 + kappa); kappa is taken from K, not from the
 closed forms.  Scaling by B^(-1/2), B = diag(r^2), gives a symmetric
 tridiagonal matrix whose lowest eigenvalues are 2E for n = 0, 1, 2, ... with
-an O(h^2) error, which Richardson extrapolation between the steps h and h/2
-removes.  Nothing here reuses the closed-form energy algebra, so agreement
-with it is a genuine cross-check.
+an O(h^2) error; Romberg extrapolation over the steps h, h/2 and h/4 (300,
+601 and 1203 nodes) removes the h^2 and h^4 terms.  Nothing here reuses the
+closed-form energy algebra, so agreement with it is a genuine cross-check.
 
 The operator is that of one parity eps: J commutes with R1R2 but not with
 R1 or R2.  A sector and spin add the Zeeman term -m_s (1 + nu1 eps1 + nu2
@@ -33,13 +33,13 @@ eps2) to V, a constant that shifts each level by half of it: validate_sectors
 solves once per (eps, ell) and adds the shift per (sector, spin) row, so the
 oracle checks the closed-form rho; eta enters both sides as one constant.
 
-The fine solve bisects (vl, vu] built from what the oracle already has.  vl
-is the potential's floor lam less a margin of 1: the matrix less
+Each grid after the first bisects (vl, vu] built from the grid before it.
+vl is the potential's floor lam less a margin of 1: the matrix less
 diag(v_rest) is D^-1 (L/h^2 + kappa^2) D^-1, D = diag(r), and L (L_00 = 2 -
 exp(-kappa h) >= 1) is positive definite; the margin dwarfs the eps*||A|| ~
-2e-4 that rounding of the entries can move a level.  vu is the coarse top
-level plus half its spacing.  Without it LAPACK first searches the
-Gershgorin interval, about +/-1e12 wide on this matrix graded as 1/r^2.
+2e-4 that rounding of the entries can move a level.  vu is the previous
+grid's top level plus half its spacing.  Without it LAPACK first searches
+the Gershgorin interval, about +/-1e12 wide on this matrix graded as 1/r^2.
 """
 
 from __future__ import annotations
@@ -70,16 +70,14 @@ class RadialProblem:
         """Coefficient of 1/r^2 before the measure transformation:
         lam^2, minus 4*nu1*nu2 in the odd parity where (1 - R1R2) acts as 2."""
         nu1, nu2 = self.params.as_floats()
-        c = self.lam * self.lam
-        if self.epsilon == -1:
-            c -= 4.0 * nu1 * nu2
-        return c
+        odd = 4.0 * nu1 * nu2 if self.epsilon == -1 else 0.0
+        return self.lam * self.lam - odd
 
 
-# The grid: GRID_POINTS nodes uniform in t = ln r, strictly between R_MIN and
-# R_MAX natural lengths sqrt(2).  Below R_MIN the regular solution is a
-# pure power to ~R_MIN^2; beyond R_MAX it is below exp(-50).
-GRID_POINTS = 1200
+# The coarsest grid: GRID_POINTS nodes uniform in t = ln r, strictly between
+# R_MIN and R_MAX natural lengths sqrt(2).  Below R_MIN the regular solution
+# is a pure power to ~R_MIN^2; beyond R_MAX it is below exp(-50).
+GRID_POINTS = 300
 R_MIN = math.exp(-9.0)
 R_MAX = 10.0
 
@@ -92,8 +90,7 @@ def build_tridiagonal(problem: RadialProblem, n: int):
     p = 1.0 + 2.0 * nu1 + 2.0 * nu2
     k_coeff = problem.centrifugal_coefficient + (p * p - 2.0 * p) / 4.0
     kappa = math.sqrt(k_coeff + 0.25)
-    natural = math.sqrt(2.0)
-    t_lo, t_hi = math.log(R_MIN * natural), math.log(R_MAX * natural)
+    t_lo, t_hi = (math.log(end * math.sqrt(2.0)) for end in (R_MIN, R_MAX))
     h = (t_hi - t_lo) / (n + 1)
     r = np.exp(t_lo + h * np.arange(1, n + 1))
     v_rest = 0.25 * r ** 2 + problem.lam
@@ -103,7 +100,7 @@ def build_tridiagonal(problem: RadialProblem, n: int):
 
 
 def _check_integer(name: str, v, lo: int, hi: int) -> None:
-    if not (isinstance(v, Integral) and lo <= v <= hi):
+    if isinstance(v, bool) or not (isinstance(v, Integral) and lo <= v <= hi):
         raise ValueError(f"{name} must be an integer from {lo} to {hi}, got {v!r}")
 
 
@@ -128,16 +125,19 @@ def lowest_eigenvalues(matrix, k: int, bracket=None):
 
 
 def oracle_energies(problem: RadialProblem, n_max: int):
-    """Oracle E/omega_c for n = 0..n_max: Richardson extrapolation of the
-    solves at GRID_POINTS and 2*GRID_POINTS + 1 nodes (step h and h/2); the
-    coarse levels bracket the fine ones (module doc); 0 <= n_max <= 9."""
+    """Oracle E/omega_c, n = 0..n_max <= 9: half of (16 R(h/2, h/4) -
+    R(h, h/2))/15, R(a, b) = (4 mu_b - mu_a)/3, from the 2E levels mu at
+    GRID_POINTS, 2*GRID_POINTS + 1 and 4*GRID_POINTS + 3 nodes, each grid
+    bracketing the next one's solve (module doc)."""
     _check_integer("n_max", n_max, 0, 9)
-    coarse = lowest_eigenvalues(build_tridiagonal(problem, GRID_POINTS), n_max + 1)
-    bracket = None if n_max == 0 else (
-        problem.lam - 1.0, coarse[-1] + (coarse[-1] - coarse[-2]) / 2.0)
-    fine = lowest_eigenvalues(build_tridiagonal(problem, 2 * GRID_POINTS + 1),
-                              n_max + 1, bracket)
-    return (4.0 * fine - coarse) / 3.0 / 2.0  # extrapolated 2E, halved
+    mus, n, bracket = [], GRID_POINTS, None
+    for _ in range(3):
+        mus.append(mu := lowest_eigenvalues(build_tridiagonal(problem, n),
+                                            n_max + 1, bracket))
+        n, bracket = 2 * n + 1, None if n_max == 0 else (
+            problem.lam - 1.0, mu[-1] + (mu[-1] - mu[-2]) / 2.0)
+    r_h, r_half = ((4.0 * b - a) / 3.0 for a, b in zip(mus, mus[1:]))
+    return (16.0 * r_half - r_h) / 15.0 / 2.0  # extrapolated 2E, halved
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ class SectorReport:
         return self.worst <= self.tolerance
 
 
-# E/omega_c tolerance: about twice the oracle's worst miss over nu in (-1/2, 2]
+# E/omega_c tolerance; the oracle's worst miss over nu in (-1/2, 2] is 2.7e-8
 ORACLE_TOLERANCE = 1e-7
 
 
@@ -183,15 +183,17 @@ def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int,
     """One report per sector: oracle eigenvalues (oracle_energies) against
     the closed forms for every ell in ell_list, n <= n_max and both spins,
     from one solve per (eps, ell), shifted per row (module doc), on the
-    positive lam branch, after checking n_max and every label.  A mismatch
-    above tolerance is reported, not raised."""
+    positive lam branch, after checking n_max, every label and that ell_list
+    is not empty.  A mismatch above tolerance is reported, not raised."""
     _check_integer("n_max", n_max, 0, 9)
     sectors = [tuple(sector) for sector in sectors]
     if bad := [sector for sector in sectors if sector not in SECTORS]:
         raise ValueError(f"sector labels must be +/-1, got {bad[0]}")
+    if not (ells := [Fraction(ell) for ell in ell_list]):
+        raise ValueError("ell_list must hold at least one ell")
     reports = [SectorReport(*sector, params, tolerance) for sector in sectors]
     nu1, nu2 = params.as_floats()
-    for ell in map(Fraction, ell_list):
+    for ell in ells:
         levels = {epsilon: oracle_energies(RadialProblem(
             lambda_value(ell, epsilon, 1, params), epsilon, params), n_max)
             for epsilon in dict.fromkeys(r.eps1 * r.eps2 for r in reports)}

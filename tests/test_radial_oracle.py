@@ -33,16 +33,21 @@ def _zeeman(state, params):
     return state.m_s * (1.0 + nu1 * state.eps1 + nu2 * state.eps2)
 
 
+# the node counts of the steps h, h/2 and h/4 between the same ends
+GRIDS = (GRID_POINTS, 2 * GRID_POINTS + 1, 4 * GRID_POINTS + 3)
+
+
 def _zeeman_solve(state, params, n_max):
-    """E/omega_c of one sector and spin, from a full-range solve of the
+    """E/omega_c of one sector and spin, from full-range solves of the three
     matrices with that Zeeman term on their diagonal: independent of the
     per-parity solve and per-row shift of validate_sectors."""
     zeeman = _zeeman(state, params)
-    coarse, fine = (
+    coarse, mid, fine = (
         lowest_eigenvalues((diag - zeeman, off), n_max + 1)
         for diag, off in (build_tridiagonal(_problem(state.ell, state.epsilon, params), n)
-                          for n in (GRID_POINTS, 2 * GRID_POINTS + 1)))
-    return (4.0 * fine - coarse) / 3.0 / 2.0
+                          for n in GRIDS))
+    r_h, r_half = (4.0 * mid - coarse) / 3.0, (4.0 * fine - mid) / 3.0
+    return (16.0 * r_half - r_h) / 15.0 / 2.0
 
 
 def test_lowest_eigenvalues_trivial_diagonal():
@@ -50,7 +55,7 @@ def test_lowest_eigenvalues_trivial_diagonal():
     assert vals == pytest.approx([2.0, 3.0])
 
 
-@pytest.mark.parametrize("k", [0, -1, 1.5, 11])
+@pytest.mark.parametrize("k", [0, -1, 1.5, 11, True])
 def test_lowest_eigenvalues_rejects_large_k(k):
     message = f"k must be an integer from 1 to 10, got {k}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -118,14 +123,27 @@ def test_second_order_richardson_convergence():
     problem = _problem(F(1, 2), -1, NU44)
     # 2E of the operator, which leaves the Zeeman term out (m = omega_c = 1)
     exact = 2.0 * energy_over_omega_c(state, NU44) + _zeeman(state, NU44)
-    sizes = (GRID_POINTS, 2 * GRID_POINTS + 1, 4 * GRID_POINTS + 3)
     raw = [lowest_eigenvalues(build_tridiagonal(problem, n), 1)[0]
-           for n in sizes]
+           for n in GRIDS]
     errors = [abs(mu - exact) for mu in raw]
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.01)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.01)
     extrapolated = oracle_energies(problem, 0)[0] * 2.0
     assert abs(extrapolated - exact) < min(errors)
+
+
+def test_fourth_order_romberg_convergence():
+    # each Richardson step (4 E_b - E_a)/3 leaves an O(h^4) error: halving h
+    # divides it by 16, and the Romberg step over both beats either of them
+    state = SectorState(1, -1, 0, F(1, 2), 1)
+    problem = _problem(F(1, 2), -1, NU44)
+    exact = 2.0 * energy_over_omega_c(state, NU44) + _zeeman(state, NU44)
+    raw = [lowest_eigenvalues(build_tridiagonal(problem, n), 1)[0]
+           for n in GRIDS + (8 * GRID_POINTS + 7,)]
+    errors = [abs((4.0 * b - a) / 3.0 - exact) for a, b in zip(raw, raw[1:])]
+    assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.01)
+    romberg = oracle_energies(problem, 0)[0] * 2.0
+    assert abs(romberg - exact) < min(errors[:2])
 
 
 # seeded nu over the whole valid range (-1/2, 2], plus its corners and the
@@ -146,9 +164,19 @@ def test_oracle_matches_closed_form_over_the_whole_nu_range(nu):
         assert report.worst <= 1e-7, (sector, report.worst)
 
 
+def test_oracle_worst_miss_over_the_whole_nu_range():
+    # both parities, their first two ells, n <= 2: the three-grid Romberg
+    # step misses by 2.7e-8 at worst (the two-grid step by 5.0e-8)
+    worst = max(report.worst for nu in WIDE_NUS for epsilon in (1, -1)
+                for report in validate_sectors(
+                    [s for s in SECTORS if s[0] * s[1] == epsilon],
+                    WignerParams(*nu), lowest_ells(epsilon, 2), 2))
+    assert worst <= 3e-8
+
+
 def test_validate_sector_solves_once_per_ell(monkeypatch):
-    # one solve per ell serves both spins: its two grid sizes (N and 2N + 1
-    # nodes) are the only eigen-solves
+    # one solve per ell serves both spins: its three grid sizes (N, 2N + 1
+    # and 4N + 3 nodes) are the only eigen-solves
     calls = []
 
     def counting(matrix, k, bracket=None):
@@ -159,7 +187,7 @@ def test_validate_sector_solves_once_per_ell(monkeypatch):
     ells = lowest_ells(1, 3)
     report = validate_sector((1, 1), NU44, SCALE, ells, 2)
     assert len(report.rows) == 2 * 3 * len(ells)
-    assert calls == [3] * (2 * len(ells))
+    assert calls == [3] * (3 * len(ells))
 
 
 @pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
@@ -218,28 +246,33 @@ def test_partner_sector_rows_match_an_independent_solve(nu):
 
 
 def test_validate_sectors_solves_a_parity_once_per_ell(solves):
-    # both even sectors, both spins: one operator per ell, two grid sizes
+    # both even sectors, both spins: one operator per ell, three grid sizes
     ells = lowest_ells(1, 3)
     reports = validate_sectors([(1, 1), (-1, -1)], NU44, ells, 2)
     assert [(r.eps1, r.eps2) for r in reports] == [(1, 1), (-1, -1)]
     assert [len(r.rows) for r in reports] == [2 * 3 * len(ells)] * 2
-    assert [k for k, _ in solves] == [3] * (2 * len(ells))
+    assert [k for k, _ in solves] == [3] * (3 * len(ells))
 
 
 def test_run_oracle_suite_solves_each_radial_operator_once(solves):
-    # 4 nu pairs x 2 parities x 2 ells = 16 operators, two grid sizes each
+    # 4 nu pairs x 2 parities x 2 ells = 16 operators, three grid sizes each
     from dunkl_pauli.verify import run_oracle_suite
     result = run_oracle_suite()
     assert (result.passed, result.failed) == (192, 0)
-    assert len(solves) == 32
+    assert len(solves) == 48
 
 
-def _fine_with_bracket(problem, n_max):
-    """The fine matrix of oracle_energies and the bracket it bisects."""
-    coarse = lowest_eigenvalues(build_tridiagonal(problem, GRID_POINTS), n_max + 1)
-    bracket = (problem.lam - 1.0,
-               coarse[-1] + (coarse[-1] - coarse[-2]) / 2.0)
-    return build_tridiagonal(problem, 2 * GRID_POINTS + 1), bracket
+def _finer_with_brackets(problem, n_max):
+    """The second and third matrices of oracle_energies, each with the
+    bracket it bisects, taken from the levels of the grid before it."""
+    levels = lowest_eigenvalues(build_tridiagonal(problem, GRIDS[0]), n_max + 1)
+    finer = []
+    for n in GRIDS[1:]:
+        bracket = (problem.lam - 1.0,
+                   levels[-1] + (levels[-1] - levels[-2]) / 2.0)
+        finer.append((build_tridiagonal(problem, n), bracket))
+        levels = lowest_eigenvalues(finer[-1][0], n_max + 1, bracket)
+    return finer
 
 
 @pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
@@ -247,17 +280,18 @@ def test_a_bracketed_solve_equals_the_full_range_solve(nu):
     params = WignerParams(*nu)
     for epsilon in (1, -1):
         for ell in lowest_ells(epsilon, 2):
-            fine, bracket = _fine_with_bracket(_problem(ell, epsilon, params), 2)
-            full = lowest_eigenvalues(fine, 3)
-            # the floor is below the spectrum, and vu leaves the 4th level out
-            assert bracket[0] < full[0]
-            assert lowest_eigenvalues(fine, 4)[3] > bracket[1]
-            assert list(lowest_eigenvalues(fine, 3, bracket)) == pytest.approx(
-                list(full), abs=2e-13, rel=0)
+            for fine, bracket in _finer_with_brackets(
+                    _problem(ell, epsilon, params), 2):
+                full = lowest_eigenvalues(fine, 3)
+                # the floor is below the spectrum; vu leaves the 4th level out
+                assert bracket[0] < full[0]
+                assert lowest_eigenvalues(fine, 4)[3] > bracket[1]
+                assert list(lowest_eigenvalues(fine, 3, bracket)) == pytest.approx(
+                    list(full), abs=2e-13, rel=0)
 
 
 def test_a_bracket_short_of_k_levels_or_k_1_gives_the_full_range_result():
-    fine, (vl, _) = _fine_with_bracket(_problem(1, 1, NU44), 2)
+    fine, (vl, _) = _finer_with_brackets(_problem(1, 1, NU44), 2)[-1]
     full = lowest_eigenvalues(fine, 3)
     # vu between levels 1 and 2: the bracket holds two of the three levels
     short = (vl, (full[1] + full[2]) / 2.0)
@@ -271,16 +305,17 @@ def test_a_bracket_short_of_k_levels_or_k_1_gives_the_full_range_result():
 
 
 def test_oracle_energies_bisects_the_fine_grid_in_a_bracket(solves):
-    # the coarse solve and an n_max = 0 solve search the full range; the
-    # fine solve of n_max >= 1 gets the bracket of _fine_with_bracket
+    # the coarsest solve and every n_max = 0 solve search the full range; the
+    # finer solves of n_max >= 1 get the brackets of _finer_with_brackets
     problem = _problem(F(1, 2), -1, NU44)
     oracle_energies(problem, 0)
     oracle_energies(problem, 2)
-    assert [bracket for _, bracket in solves[:3]] == [None, None, None]
-    assert solves[3][1] == _fine_with_bracket(problem, 2)[1]
+    assert [bracket for _, bracket in solves[:4]] == [None] * 4
+    assert [bracket for _, bracket in solves[4:]] == [
+        bracket for _, bracket in _finer_with_brackets(problem, 2)]
 
 
-@pytest.mark.parametrize("n_max", [-1, 1.5, 10])
+@pytest.mark.parametrize("n_max", [-1, 1.5, 10, True])
 def test_a_bad_n_max_is_refused_by_name_before_any_solve(solves, n_max):
     message = f"n_max must be an integer from 0 to 9, got {n_max}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -294,7 +329,8 @@ def test_a_bad_n_max_is_refused_by_name_before_any_solve(solves, n_max):
     ([(1, 1)], [], -5, "n_max must be an integer from 0 to 9, got -5"),
     ([(1, 1), (2, 1)], [1], 2, "sector labels must be +/-1, got (2, 1)"),
     ([(1,)], [1], 2, "sector labels must be +/-1, got (1,)"),
-], ids=["n_max", "label", "short label"])
+    ([(1, 1)], [], 2, "ell_list must hold at least one ell"),
+], ids=["n_max", "label", "short label", "no ell"])
 def test_validate_sectors_checks_its_input_before_any_solve(
         solves, sectors, ell_list, n_max, message):
     with pytest.raises(ValueError, match=re.escape(message)):
