@@ -2,9 +2,9 @@
 algebra, parity-sector spectra, a finite-difference eigenvalue oracle, and
 canonical thermodynamics.
 
-The pure-Python layers are imported with the package.  The names of the
-numpy/scipy layers (``radial_oracle``, ``thermo``) resolve on each access
-(PEP 562), so ``import dunkl_pauli`` loads neither numpy nor scipy.
+The pure-Python layers are imported with the package.  The names of
+``radial_oracle`` (numpy, scipy) and ``thermo`` resolve on each access (PEP
+562); neither numpy nor scipy is loaded by ``import dunkl_pauli``.
 """
 
 import importlib

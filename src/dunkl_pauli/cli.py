@@ -24,8 +24,8 @@ from .angular import lambda_value
 from .spectrum import (SECTORS, SectorState, energy_over_omega_c, eta,
                        lowest_ells, rho)
 
-# thermo (numpy) and verify (numpy, and scipy for its oracle suite) are
-# imported inside the commands that use them: a spectrum table needs neither
+# thermo and verify are imported inside the commands that use them; numpy by
+# figure, verify's oracle (and scipy) and thermo beyond rounding._COLD points
 
 
 def _sector_name(sector: tuple[int, int], signs: str = "+-") -> str:
@@ -104,6 +104,7 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(
                 f"figure must be 1-8 with optional panel a-d, got {fig!r}")
         args.fig_num, args.panels = int(fig[0]), fig[1:] or "abcd"
+        import numpy  # noqa: F401  (the bundle needs it: load it so the grid uses arrays)
     if "steps" in args:  # log_grid refuses a bad tmin, tmax or steps
         from .thermo import log_grid
         args.taus = log_grid(args.tmin, args.tmax, args.steps)

@@ -14,9 +14,10 @@ to even), which every IEEE-754 platform reproduces bit for bit.
 
 The method is Ziv's (A. Ziv, ACM TOMS 17(3), 1991), in two steps:
 
-1. **Fast test**, vectorised: double-double numbers (Dekker, Numer. Math.
-   18, 1971) computed only with ``+ - * /``, ``rint``, ``ldexp`` and table
-   look-ups on float64 arrays, which IEEE 754 fixes bit for bit, so the
+1. **Fast test**, on float64 arrays or, for a short call (see
+   :func:`round_curve`), on Python floats: double-double numbers (Dekker,
+   Numer. Math. 18, 1971) computed only with ``+ - * /``, ``rint``,
+   ``ldexp`` and table look-ups, which IEEE 754 fixes bit for bit, so the
    result does not depend on libm or on numpy's SIMD dispatch.  libm's
    ``log1p`` only seeds one Newton step, whose error is bounded from its
    computed residual.  Every number carries a rigorous bound on its absolute
@@ -41,12 +42,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context,
                      Decimal, Inexact)
 from fractions import Fraction
 from types import SimpleNamespace
-
-import numpy as np
 
 # Relative rounding error of a double-double sum, per unit of |a| + |b|: the
 # two roundings of Dekker's sum come to at most 3u^2 (|a| + |b|), u = 2**-53.
@@ -66,6 +66,9 @@ _FLOOR = 2.0 ** -1000
 _PRECISIONS = (40, 80, 160, 320, 640)
 # Arrays up to this size are evaluated point by point in Python floats.
 _SHORT = 16
+# ... and up to this size while numpy is not loaded: its import (0.13-0.21 s)
+# and an array call (1.2-12.7 ms) take as long as 1,100+ points at <= 115 us.
+_COLD = 1000
 
 
 # ------------------------------------------------------ error-free building blocks
@@ -275,30 +278,34 @@ class _Path:
 
 class _Arrays(_Path):
     """Fast path over float64 arrays: one vectorised call per function,
-    elementwise over its argument."""
+    elementwise over its argument, with numpy bound on first use (:meth:`bind`)."""
 
-    where = staticmethod(np.where)
-    rint = staticmethod(np.rint)
-    seed_log1p = staticmethod(np.log1p)
+    @classmethod
+    @functools.cache
+    def bind(cls):
+        import numpy as np
+        cls.np, cls.where, cls.rint, cls.seed_log1p, cls.nextafter = np, *map(
+            staticmethod, (np.where, np.rint, np.log1p, np.nextafter))
+        return np
 
     @staticmethod
     def integer(k):
-        return k.astype(np.int64)
+        return k.astype("int64")
 
-    @staticmethod
-    def choose(cond, if_true, if_false):
+    @classmethod
+    def choose(cls, cond, if_true, if_false):
         a, b = if_true(), if_false()
-        return _DD(*(np.where(cond, x, y) for x, y in
+        return _DD(*(cls.where(cond, x, y) for x, y in
                      ((a.hi, b.hi), (a.lo, b.lo), (a.err, b.err))))
 
-    @staticmethod
-    def ldexp(v, n):
-        return np.ldexp(v, n.astype(np.int32))
+    @classmethod
+    def ldexp(cls, v, n):
+        return cls.np.ldexp(v, n.astype("int32"))
 
-    @staticmethod
+    @classmethod
     @functools.cache
-    def tables():
-        return [np.array(col) for col in _constants().tables]
+    def tables(cls):
+        return [cls.np.array(col) for col in _constants().tables]
 
 
 class _Floats(_Path):
@@ -320,6 +327,7 @@ class _Floats(_Path):
         return if_true() if cond else if_false()
 
     seed_log1p = staticmethod(math.log1p)
+    nextafter = staticmethod(math.nextafter)
     integer = staticmethod(int)
     ldexp = staticmethod(math.ldexp)
 
@@ -501,23 +509,23 @@ def settle(terms, *args: float) -> float:
                      f"within {_PRECISIONS[-1]} digits")
 
 
-def _rounded(exact, t: _DD):
+def _rounded(xp, exact, t: _DD):
     """(hi, ok) for the value sum(exact) + t: ok where every number within
-    the error bound of hi + lo is nearer to hi than half the smaller gap to
-    its neighbours, so that it rounds to hi."""
+    the error bound of hi + lo is nearer to hi than half of each (non-NaN)
+    gap to its neighbours, so that it rounds to hi."""
     v = _DD(t.hi, t.lo, t.err * _INFLATE + _FLOOR)
     for c in exact:
         v = v + c
     a = abs(v.hi)
-    gap = np.minimum(a - np.nextafter(a, 0.0), np.nextafter(a, np.inf) - a)
-    ok = abs(v.lo) + (v.err * _INFLATE + _FLOOR) < gap * (0.5 - 2.0 ** -42)
-    return v.hi, ok
+    slack, half = abs(v.lo) + (v.err * _INFLATE + _FLOOR), 0.5 - 2.0 ** -42
+    return v.hi, ((slack < (a - xp.nextafter(a, 0.0)) * half)
+                  & (slack < (xp.nextafter(a, math.inf) - a) * half))
 
 
 def _round_point(terms, args) -> float:
     """The fast test at one point, else the decimal fallback."""
     try:
-        hi, ok = _rounded(*terms(_Floats, *args))
+        hi, ok = _rounded(_Floats, *terms(_Floats, *args))
         if ok:
             return hi
     except (ArithmeticError, ValueError):
@@ -535,23 +543,41 @@ def _fill(out: list, indices, value) -> list:
     return out
 
 
+def _matrix(a) -> list:
+    """A scalar as [[a]], a flat sequence as [a], a (k, 1) column as is."""
+    try:
+        rows = list(a)
+    except TypeError:  # a scalar
+        return [[a]]
+    return rows if rows and hasattr(rows[0], "__len__") else [rows]
+
+
+def _extent(lengths) -> int:
+    """One dimension of a broadcast: the lengths other than 1 agree."""
+    [size] = set(lengths) - {1} or {1}  # else ValueError: too many values
+    return size
+
+
 def round_curve(terms, *args) -> list[float]:
     """Correctly rounded values of ``terms`` at every element of the
-    broadcast ``args``, in C order (an (n,) and a (k, 1) argument give k
-    runs of n values): vectorised for long arrays, each subexpression at its
-    arguments' broadcast shape, and point by point in Python floats up to
-    ``_SHORT`` elements, where numpy's per-call cost would dominate.  Raises
-    :class:`Unsettled` for an element the decimal fallback cannot settle,
-    a non-finite one among them; its ``index`` counts in the same order."""
-    args = [np.asarray(a, dtype=float) for a in args]
-    grid = np.broadcast(*args)
-    if grid.size <= _SHORT:
-        points = [tuple(map(float, p)) for p in grid]
-        return _fill([0.0] * grid.size, range(grid.size),
+    broadcast ``args`` (scalars, flat sequences of n and (k, 1) columns give
+    k runs of n values, in C order): point by point in Python floats up to
+    ``_SHORT`` elements (where numpy's per-call cost would dominate), or
+    ``_COLD`` while numpy is not loaded (where its import would), else each
+    subexpression vectorised at its arguments' broadcast shape.  Raises
+    :class:`Unsettled` at the C-order ``index`` of an unsettled element."""
+    rows = [_matrix(a) for a in args]
+    k, n = _extent(map(len, rows)), _extent(len(r[0]) for r in rows)
+    if k * n <= (_SHORT if sys.modules.get("numpy") else _COLD):
+        points = [tuple(float(r[i % len(r)][j % len(r[0])]) for r in rows)
+                  for i in range(k) for j in range(n)]
+        return _fill([0.0] * len(points), range(len(points)),
                      lambda i: _round_point(terms, points[i]))
+    np = _Arrays.bind()
+    args = [np.asarray(a, dtype=float) for a in args]
     with np.errstate(all="ignore"):
         exact, t = terms(_Arrays, *args)
-        t = _DD(*(np.broadcast_to(f, grid.shape) for f in (t.hi, t.lo, t.err)))
-        hi, ok = (v.ravel() for v in _rounded(exact, t))
+        t = _DD(*(np.broadcast_to(f, (k, n)) for f in (t.hi, t.lo, t.err)))
+        hi, ok = (v.ravel() for v in _rounded(_Arrays, exact, t))
     return _fill(hi.tolist(), np.flatnonzero(~ok).tolist(), lambda i: settle(
-        terms, *(float(np.broadcast_to(a, grid.shape).flat[i]) for a in args)))
+        terms, *(float(np.broadcast_to(a, (k, n)).flat[i]) for a in args)))

@@ -24,6 +24,8 @@ rounded points 10**y_i of the log-spaced grid y_i = i*step + lo,
 step = (hi - lo)/(steps - 1), with lo and hi the correctly rounded log10 of
 its exact endpoints, both from ``round_curve`` too.  Every value is therefore
 the same on every IEEE-754 platform, whatever its libm or SIMD dispatch.
+``round_curve`` loads numpy only for a call of more than ``rounding._COLD``
+elements, so a one-ladder curve of 400 temperatures and its grid need none.
 A value the decimal fallback cannot settle, which happens only far outside
 x in [1e-3, 700], raises ValueError.
 """
@@ -34,8 +36,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .rounding import _two_sum, round_curve
 
@@ -237,7 +237,7 @@ def sweeps(quantity: str, templates, tau_grid) -> list[ThermoCurve]:
         raise ValueError("all temperatures and 1/tau must be positive and finite")
     # x along the grid, (rho, e) down the templates: one run per template
     values = round_curve(_curve_terms(quantity, modes.pop()),
-                         1.0 / np.array(taus, dtype=float),
+                         [1.0 / t for t in taus],
                          [[t.rho] for t in templates],
                          [[abs(t.eta)] for t in templates])
     n = len(taus)
@@ -268,18 +268,21 @@ def log_grid(t_min: float, t_max: float, steps: int) -> tuple[float, ...]:
     Raises ValueError unless 0 < t_min < t_max < inf and steps >= 2, and
     if two rounded points coincide (too many steps).
     """
+    if not isinstance(steps, int) or isinstance(steps, bool):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if not 0 < t_min < t_max < math.inf:
         raise ValueError("need 0 < tmin < tmax, both finite")
     if steps < 2:
         raise ValueError("need at least 2 grid points")
     lo, hi = round_curve(_log10_terms, (t_min, t_max))
-    y = np.arange(steps) * ((hi - lo) / (steps - 1)) + lo
-    whole = y == np.floor(y)  # 10**y is rational here (10**23 is a tie)
-    taus = np.empty(steps)
-    taus[~whole] = round_curve(_pow10_terms, y[~whole])
-    taus[whole] = [float(Fraction(10) ** int(k)) for k in y[whole]]
-    taus[0], taus[-1] = t_min, t_max
-    if not np.all(taus[1:] > taus[:-1]):
+    step = (hi - lo) / (steps - 1)
+    y = [i * step + lo for i in range(steps)]  # i < 2**53 converts exactly
+    rest = iter(round_curve(_pow10_terms, [v for v in y if not v.is_integer()]))
+    # 10**y is rational at a whole y (10**23 is a tie)
+    taus = [float(Fraction(10) ** int(v)) if v.is_integer() else next(rest)
+            for v in y]
+    taus[0], taus[-1] = float(t_min), float(t_max)
+    if any(map(operator.le, taus[1:], taus)):
         raise ValueError(f"the temperature grid of {steps} points on "
                          f"[{t_min!r}, {t_max!r}] repeats a rounded point")
-    return tuple(taus.tolist())
+    return tuple(taus)

@@ -13,6 +13,7 @@ import pytest
 import dunkl_pauli
 from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.cli import _fmt, _rows, _thermo_csv, main
+from dunkl_pauli.rounding import _COLD
 from dunkl_pauli.thermo import ThermoCurve, ThermoInputs
 
 
@@ -498,8 +499,9 @@ def test_cli_import_does_not_load_scipy_integrate():
 
 
 # each command in a fresh interpreter: which of numpy, scipy and scipy.linalg
-# it loaded.  The oracle is the only layer that needs scipy, and a spectrum
-# table needs no numpy.
+# it loaded.  The oracle is the only layer that needs scipy.  A spectrum
+# table needs no numpy, nor does a thermo curve of up to rounding._COLD
+# points; a longer one and a figure bundle load it.
 _FOOTPRINT_PROBE = """\
 import contextlib, io, json, sys
 from dunkl_pauli.cli import main
@@ -513,10 +515,12 @@ print(json.dumps([code] + [m for m in ("numpy", "scipy", "scipy.linalg")
 @pytest.mark.parametrize("argv, loaded", [
     ((), []),
     (("spectrum", "--nu1", "0.4", "--nu2", "0.2", "--sector=--"), []),
-    (("thermo", "--quantity", "C", "--mode", "paper-faithful"), ["numpy"]),
+    (("thermo", "--quantity", "C", "--mode", "paper-faithful"), []),
+    (("thermo", "--quantity", "C", "--steps", str(_COLD + 1)), ["numpy"]),
     (("figure", "--figure", "2a", "--steps", "8", "--out", "{tmp}"), ["numpy"]),
-    (("verify", "--skip-oracle"), ["numpy"]),
-], ids=["import", "spectrum", "thermo", "figure", "verify-skip-oracle"])
+    (("verify", "--skip-oracle"), []),
+], ids=["import", "spectrum", "thermo", "thermo-long", "figure",
+        "verify-skip-oracle"])
 def test_commands_import_only_what_they_use(tmp_path, argv, loaded):
     src = str(Path(dunkl_pauli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -159,6 +159,55 @@ def test_a_non_finite_argument_is_unsettled_at_its_index(fallbacks, bad, size):
     assert fallbacks == []  # refused before any decimal evaluation
 
 
+# Run in a fresh interpreter, where numpy is not loaded and every call of up
+# to rounding._COLD elements takes the float path, and here, where numpy is
+# loaded and every call of more than rounding._SHORT takes the array path
+_PATHS_PROBE = """\
+import json, math, sys
+from dunkl_pauli import rounding, thermo
+
+
+def run(ladders, wide):
+    grid = thermo.log_grid(0.01, 10.0, 400)
+    out = [grid, thermo.log_grid(1.0, 1e30, 31)]
+    for mode in thermo.MODES:
+        each = [thermo.ThermoInputs(1.0, r, h, mode) for r, h in ladders]
+        for k, quantity in enumerate(sorted(thermo.QUANTITIES)):
+            for templates, taus in ((each, wide), (each[k:k + 1], grid),
+                                    (each, ())):
+                out += [c.values for c in thermo.sweeps(quantity, templates, taus)]
+    out += [c.values for c in thermo.sweeps("S", each[1:3], grid)]
+    x = [1.0 / t for t in wide]
+    x[5] = math.nan
+    try:
+        rounding.round_curve(thermo._curve_terms("U", "consistent"), x,
+                             [[0.3], [0.8]], 0.5)
+    except rounding.Unsettled as exc:
+        index = exc.index
+    return [[v.hex() for v in values] for values in out], index
+
+
+if __name__ == "__main__":
+    print(json.dumps([run(*json.loads(sys.argv[1])), "numpy" in sys.modules]))
+"""
+
+
+def test_the_float_path_without_numpy_equals_the_array_path_bit_for_bit():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", _PATHS_PROBE, json.dumps([LADDERS, WIDE])],
+        env=env, check=True, capture_output=True, text=True, timeout=120)
+    (values, index), loaded = json.loads(result.stdout)
+    assert not loaded
+    probe = {"__name__": "probe"}
+    exec(_PATHS_PROBE, probe)
+    assert "numpy" in sys.modules
+    want_values, want_index = probe["run"](LADDERS, WIDE)
+    assert len(values) == 2 + 2 * 5 * (5 + 1 + 5) + 2
+    assert values == want_values and index == want_index == 5
+
+
 def _negated_pow10_terms(num, y):
     return (), -thermo._pow10_terms(num, y)[1]
 

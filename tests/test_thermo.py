@@ -362,6 +362,8 @@ def test_an_unsettled_point_names_its_position(monkeypatch):
 @pytest.mark.parametrize("t_min, t_max, steps, message", [
     (0.01, 10.0, 1, "at least 2 grid points"),
     (0.01, 10.0, 0, "at least 2 grid points"),
+    (0.01, 10.0, 400.0, "steps must be an integer, got 400.0"),
+    (0.01, 10.0, True, "steps must be an integer, got True"),
     (10.0, 0.01, 400, "0 < tmin < tmax"),
     (1.0, 1.0, 400, "0 < tmin < tmax"),
     (0.0, 1.0, 400, "0 < tmin < tmax"),
