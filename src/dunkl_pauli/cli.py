@@ -104,9 +104,11 @@ def _validate(args: argparse.Namespace) -> None:
             raise ValueError(
                 f"figure must be 1-8 with optional panel a-d, got {fig!r}")
         args.fig_num, args.panels = int(fig[0]), fig[1:] or "abcd"
-        import numpy  # noqa: F401  (the bundle needs it: load it so the grid uses arrays)
     if "steps" in args:  # log_grid refuses a bad tmin, tmax or steps
+        from .rounding import _COLD
         from .thermo import log_grid
+        if "figure" in args or args.steps > _COLD:  # its curves load numpy:
+            import numpy  # noqa: F401  (load it first, so the grid uses arrays too)
         args.taus = log_grid(args.tmin, args.tmax, args.steps)
 
 

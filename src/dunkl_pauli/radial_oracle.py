@@ -13,19 +13,25 @@ E/omega_c and r is in units 1/sqrt(m omega_c).  The centrifugal term is lam^2
 in the even parity and lam^2 - 4 nu1 nu2 in the odd one.  Near r = 0 the
 solutions go like r^(1/2 +/- kappa), kappa = sqrt(K + 1/4).  For kappa < 1
 both are square integrable, so a Dirichlet wall near the origin would pick the
-regular one only up to O(r_min^(2 kappa)).  There is no wall at the origin
-here.  The grid is uniform in t = ln r, and u = e^(t/2) w turns the equation
-into
+regular one only up to O(r_min^(2 kappa)); there is none here.  The grid is
+uniform in t = ln r, and u = e^(t/2) w turns the equation into
 
     -w'' + kappa^2 w + r^2 (V - K/r^2) w = 2E r^2 w.
 
 The node below the first is a Frobenius ghost, w_0 = w_1 exp(-kappa h), which
 imposes the regular power r^(1/2 + kappa); kappa is taken from K, not from the
-closed forms.  Scaling by B^(-1/2), B = diag(r^2), gives a symmetric
-tridiagonal matrix whose lowest eigenvalues are 2E for n = 0, 1, 2, ... with
-an O(h^2) error; Romberg extrapolation over the steps h, h/2 and h/4 (300,
-601 and 1203 nodes) removes the h^2 and h^4 terms.  Nothing here reuses the
-closed-form energy algebra, so agreement with it is a genuine cross-check.
+closed forms.  The regular solution is u = N r^(1/2 + kappa) (1 + c1 r^2 + ...),
+c1 = (lam - 2E)/(4 kappa + 4), so a ghost at r_c misses u'/u by 2 c1 r_c and
+moves 2E by u(r_c)^2 times that: 2 |c1| N^2 r_c^(2 kappa + 2) (int u^2 dr = 1),
+with 2 |c1| N^2 = (2n + kappa + 1) Gamma(n + kappa + 1)/(2^(kappa + 1) n!
+Gamma(kappa + 1) Gamma(kappa + 2)) <= 27 for n <= 9.  So each grid starts above
+its last node with r^(2 kappa + 2) <= CUT_EPS, its ghost, and 2E moves by less
+than the 1e-13 bisection tolerance; kappa < 0.93 keeps every node.  Scaling by
+B^(-1/2), B = diag(r^2), gives a symmetric tridiagonal matrix whose lowest
+eigenvalues are 2E for n = 0, 1, 2, ... with an O(h^2) error; Romberg
+extrapolation over the steps h, h/2 and h/4 (at most 300, 601 and 1203 nodes)
+removes the h^2 and h^4 terms.  Nothing here reuses the closed-form energy
+algebra, so agreement with it is a genuine cross-check.
 
 The operator is that of one parity eps: J commutes with R1R2 but not with
 R1 or R2.  A sector and spin add the Zeeman term -m_s (1 + nu1 eps1 + nu2
@@ -75,26 +81,28 @@ class RadialProblem:
 
 
 # The coarsest grid: GRID_POINTS nodes uniform in t = ln r, strictly between
-# R_MIN and R_MAX natural lengths sqrt(2).  Below R_MIN the regular solution
-# is a pure power to ~R_MIN^2; beyond R_MAX it is below exp(-50).
+# R_MIN and R_MAX natural lengths sqrt(2), above the kappa cut.  Below R_MIN
+# the regular solution is a pure power to ~R_MIN^2, beyond R_MAX below e^-50.
 GRID_POINTS = 300
 R_MIN = math.exp(-9.0)
 R_MAX = 10.0
+CUT_EPS = 3e-15  # a ghost where r^(2 kappa + 2) <= CUT_EPS moves 2E < 1e-13
 
 
 def build_tridiagonal(problem: RadialProblem, n: int):
-    """Symmetric tridiagonal discretization of -u'' + V u on n log-grid
-    nodes between R_MIN and R_MAX, returned as (diagonal, off-diagonal)
-    arrays; eigenvalues approximate 2E with an O(h^2) error."""
+    """Symmetric tridiagonal discretization of -u'' + V u on the n-node log
+    grid from R_MIN to R_MAX, cut at kappa (module doc), as (diagonal,
+    off-diagonal) arrays; eigenvalues approximate 2E with an O(h^2) error."""
     nu1, nu2 = problem.params.as_floats()
     p = 1.0 + 2.0 * nu1 + 2.0 * nu2
     k_coeff = problem.centrifugal_coefficient + (p * p - 2.0 * p) / 4.0
     kappa = math.sqrt(k_coeff + 0.25)
     t_lo, t_hi = (math.log(end * math.sqrt(2.0)) for end in (R_MIN, R_MAX))
     h = (t_hi - t_lo) / (n + 1)
-    r = np.exp(t_lo + h * np.arange(1, n + 1))
+    cut = max(0, math.floor((math.log(CUT_EPS) / (2 * kappa + 2) - t_lo) / h))
+    r = np.exp(t_lo + h * np.arange(cut + 1, n + 1))
     v_rest = 0.25 * r ** 2 + problem.lam
-    a = np.full(n, 2.0 / h ** 2 + kappa ** 2)
+    a = np.full(n - cut, 2.0 / h ** 2 + kappa ** 2)
     a[0] -= math.exp(-kappa * h) / h ** 2  # ghost node w_0 = w_1 exp(-kappa h)
     return a / r ** 2 + v_rest, -1.0 / (h ** 2 * r[:-1] * r[1:])
 
@@ -107,7 +115,7 @@ def _check_integer(name: str, v, lo: int, hi: int) -> None:
 def lowest_eigenvalues(matrix, k: int, bracket=None):
     """k smallest eigenvalues of the symmetric tridiagonal (diag, off) pair,
     ascending, via LAPACK bisection on Sturm sequences to absolute 1e-13.
-    The default tolerance, eps*||A||, is about 1e-4 on the log-grid matrix,
+    The default tolerance, eps*||A||, is up to 1e-4 on the log-grid matrix,
     whose norm is set by the nodes nearest the origin: larger than the
     discretization error that oracle_energies extrapolates away.  A bracket
     (vl, vu] with vl below the spectrum is bisected for its first k levels;

@@ -234,10 +234,10 @@ def run_spectrum_suite() -> SuiteResult:
 
 def run_oracle_suite() -> SuiteResult:
     """Finite-difference eigenvalues (radial_oracle's Romberg step on three
-    log grids, each bracketing the next one's solve) vs closed forms over the
-    standard grid: 4 sectors x 4 nu pairs x first two ells x n <= 2 x both
-    spins, each within ORACLE_TOLERANCE in omega_c units (worst miss 3.5e-9).
-    A parity's two sectors share one solve per ell: 48 solves in all."""
+    kappa-cut log grids, each bracketing the next one's solve) vs closed forms
+    over the standard grid: 4 sectors x 4 nu pairs x first two ells x n <= 2 x
+    both spins, within ORACLE_TOLERANCE in omega_c units (worst miss 3.5e-9).
+    A parity's two sectors share one solve per ell: 48 solves, 22,994 nodes."""
     # imported here so that the exact suites (verify --skip-oracle) run
     # without scipy
     from .radial_oracle import ORACLE_TOLERANCE, validate_sectors

@@ -13,7 +13,7 @@ import pytest
 import dunkl_pauli
 from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.cli import _fmt, _rows, _thermo_csv, main
-from dunkl_pauli.rounding import _COLD
+from dunkl_pauli.rounding import _COLD, _SHORT
 from dunkl_pauli.thermo import ThermoCurve, ThermoInputs
 
 
@@ -498,17 +498,30 @@ def test_cli_import_does_not_load_scipy_integrate():
     assert result.stdout.strip() == "False"
 
 
-# each command in a fresh interpreter: which of numpy, scipy and scipy.linalg
-# it loaded.  The oracle is the only layer that needs scipy.  A spectrum
-# table needs no numpy, nor does a thermo curve of up to rounding._COLD
-# points; a longer one and a figure bundle load it.
+# each command in a fresh interpreter: the most points one round_curve call
+# of thermo rounded one by one, and which of numpy, scipy and scipy.linalg it
+# loaded.  The oracle is the only layer that needs scipy.  A spectrum table
+# needs no numpy, nor does a thermo curve of up to rounding._COLD points; a
+# longer one and a figure bundle load it, before their grid is rounded.
 _FOOTPRINT_PROBE = """\
 import contextlib, io, json, sys
+from dunkl_pauli import rounding, thermo
 from dunkl_pauli.cli import main
+points, largest = [0], [0]
+def counted(*args, _point=rounding._round_point):
+    points[0] += 1
+    return _point(*args)
+def measured(*args, _curve=thermo.round_curve):
+    points[0] = 0
+    try:
+        return _curve(*args)
+    finally:
+        largest[0] = max(largest[0], points[0])
+rounding._round_point, thermo.round_curve = counted, measured
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code] + [m for m in ("numpy", "scipy", "scipy.linalg")
-                           if m in sys.modules]))
+print(json.dumps([code, largest[0]] + [
+    m for m in ("numpy", "scipy", "scipy.linalg") if m in sys.modules]))
 """
 
 
@@ -517,10 +530,13 @@ print(json.dumps([code] + [m for m in ("numpy", "scipy", "scipy.linalg")
     (("spectrum", "--nu1", "0.4", "--nu2", "0.2", "--sector=--"), []),
     (("thermo", "--quantity", "C", "--mode", "paper-faithful"), []),
     (("thermo", "--quantity", "C", "--steps", str(_COLD + 1)), ["numpy"]),
+    # 999 of its 1,003 points are not whole powers of 10: a grid call that
+    # stays under _COLD while the curve goes over it
+    (("thermo", "--quantity", "C", "--steps", str(_COLD + 3)), ["numpy"]),
     (("figure", "--figure", "2a", "--steps", "8", "--out", "{tmp}"), ["numpy"]),
     (("verify", "--skip-oracle"), []),
-], ids=["import", "spectrum", "thermo", "thermo-long", "figure",
-        "verify-skip-oracle"])
+], ids=["import", "spectrum", "thermo", "thermo-long", "thermo-long-grid",
+        "figure", "verify-skip-oracle"])
 def test_commands_import_only_what_they_use(tmp_path, argv, loaded):
     src = str(Path(dunkl_pauli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -529,7 +545,11 @@ def test_commands_import_only_what_they_use(tmp_path, argv, loaded):
     result = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, *argv],
                             env=env, check=True, capture_output=True, text=True,
                             timeout=120)
-    assert json.loads(result.stdout) == [0, *loaded]
+    code, largest, *modules = json.loads(result.stdout)
+    assert [code, *modules] == [0, *loaded]
+    # round_curve's own rule: no call rounds more than _SHORT points one by
+    # one in a process that loads numpy, at any time
+    assert largest <= (_SHORT if "numpy" in modules else _COLD)
 
 
 def test_parser_choices_are_thermo_names():

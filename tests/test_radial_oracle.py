@@ -33,7 +33,8 @@ def _zeeman(state, params):
     return state.m_s * (1.0 + nu1 * state.eps1 + nu2 * state.eps2)
 
 
-# the node counts of the steps h, h/2 and h/4 between the same ends
+# the node counts of the steps h, h/2 and h/4 between the same ends, before
+# build_tridiagonal drops the nodes below the kappa cut
 GRIDS = (GRID_POINTS, 2 * GRID_POINTS + 1, 4 * GRID_POINTS + 3)
 
 
@@ -93,10 +94,39 @@ def test_centrifugal_coefficient_by_sector():
     assert odd.centrifugal_coefficient == pytest.approx(odd.lam ** 2 - 4 * 0.16)
 
 
+def _uncut(problem, n):
+    """build_tridiagonal without the kappa cut: all n nodes of the log grid,
+    the ghost at R_MIN."""
+    nu1, nu2 = problem.params.as_floats()
+    p = 1.0 + 2.0 * nu1 + 2.0 * nu2
+    k_coeff = problem.centrifugal_coefficient + (p * p - 2.0 * p) / 4.0
+    kappa = math.sqrt(k_coeff + 0.25)
+    t_lo, t_hi = (math.log(end * math.sqrt(2.0))
+                  for end in (radial_oracle.R_MIN, radial_oracle.R_MAX))
+    h = (t_hi - t_lo) / (n + 1)
+    r = np.exp(t_lo + h * np.arange(1, n + 1))
+    v_rest = 0.25 * r ** 2 + problem.lam
+    a = np.full(n, 2.0 / h ** 2 + kappa ** 2)
+    a[0] -= math.exp(-kappa * h) / h ** 2
+    return a / r ** 2 + v_rest, -1.0 / (h ** 2 * r[:-1] * r[1:])
+
+
 def test_matrix_is_symmetric_tridiagonal():
+    # kappa = 0.02 (odd, ell = 1/2, nu = -49/100 twice) keeps all 600 nodes,
+    # bit for bit; kappa = 2.8 (even, ell = 1, nu = 2/5 twice) keeps only the
+    # top of the same grid, at the same h, with the ghost below its first node
+    near_limit_circle = _problem(F(1, 2), -1, WignerParams(F(-49, 100), F(-49, 100)))
+    diag, off = build_tridiagonal(near_limit_circle, 600)
+    assert diag.shape == (600,) and off.shape == (599,)
+    for got, full in zip((diag, off), _uncut(near_limit_circle, 600)):
+        assert np.array_equal(got, full)
     problem = _problem(1, 1, NU44)
     diag, off = build_tridiagonal(problem, 600)
-    assert diag.shape == (600,) and off.shape == (599,)
+    full_diag, full_off = _uncut(problem, 600)
+    assert 0 < len(diag) < 600 and off.shape == (len(diag) - 1,)
+    assert np.array_equal(off, full_off[-len(off):])
+    assert np.array_equal(diag[1:], full_diag[-len(off):])
+    assert diag[0] != full_diag[-len(diag)]
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     assert np.max(np.abs(dense - dense.T)) == 0.0
 
@@ -117,8 +147,8 @@ def test_eigenvalues_increase_with_n():
 
 
 def test_second_order_richardson_convergence():
-    # the raw log grid is second order: halving h (n -> 2n + 1 nodes, same
-    # ends) quarters the error, and the extrapolation beats both solves
+    # the raw log grid is second order: halving h (n -> 2n + 1 nodes of the
+    # full grid) quarters the error, and the extrapolation beats both solves
     state = SectorState(1, -1, 0, F(1, 2), 1)
     problem = _problem(F(1, 2), -1, NU44)
     # 2E of the operator, which leaves the Zeeman term out (m = omega_c = 1)
@@ -174,9 +204,24 @@ def test_oracle_worst_miss_over_the_whole_nu_range():
     assert worst <= 3e-8
 
 
+@pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
+def test_the_kappa_cut_moves_a_level_by_bisection_noise_only(monkeypatch, nu):
+    # both parities, their first five ells, n <= 9: the cut grids give the
+    # levels of the full ones to the 1e-13 bisection tolerance for n <= 2, and
+    # to 1e-11 up to n = 9 (the cut's own shift is below 1e-13: module doc)
+    params = WignerParams(*nu)
+    problems = [_problem(ell, epsilon, params) for epsilon in (1, -1)
+                for ell in lowest_ells(epsilon, 5)]
+    cut = [oracle_energies(problem, 9) for problem in problems]
+    monkeypatch.setattr(radial_oracle, "build_tridiagonal", _uncut)
+    for levels, problem in zip(cut, problems):
+        change = np.abs(levels - oracle_energies(problem, 9))
+        assert change[:3].max() <= 5e-13 and change.max() <= 1e-11, problem
+
+
 def test_validate_sector_solves_once_per_ell(monkeypatch):
-    # one solve per ell serves both spins: its three grid sizes (N, 2N + 1
-    # and 4N + 3 nodes) are the only eigen-solves
+    # one solve per ell serves both spins: its three grids (steps h, h/2 and
+    # h/4, each cut at kappa) are the only eigen-solves
     calls = []
 
     def counting(matrix, k, bracket=None):
