@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from dunkl_pauli import radial_oracle
 from dunkl_pauli.algebra import WignerParams
@@ -54,6 +55,11 @@ def _zeeman_solve(state, params, n_max):
 def test_lowest_eigenvalues_trivial_diagonal():
     vals = lowest_eigenvalues((np.array([2.0, 3.0]), np.array([0.0])), 2)
     assert vals == pytest.approx([2.0, 3.0])
+    # a 1 x 1 matrix has its one entry as its level; k may not exceed n
+    assert list(lowest_eigenvalues((np.array([2.0]), np.array([])), 1)) == [2.0]
+    message = "k must be an integer from 1 to 2, got 3"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lowest_eigenvalues((np.array([2.0, 3.0]), np.array([0.0])), 3)
 
 
 @pytest.mark.parametrize("k", [0, -1, 1.5, 11, True])
@@ -224,9 +230,9 @@ def test_validate_sector_solves_once_per_ell(monkeypatch):
     # h/4, each cut at kappa) are the only eigen-solves
     calls = []
 
-    def counting(matrix, k, bracket=None):
+    def counting(matrix, k, bracket=None, predicted=None):
         calls.append(k)
-        return lowest_eigenvalues(matrix, k, bracket)
+        return lowest_eigenvalues(matrix, k, bracket, predicted)
 
     monkeypatch.setattr(radial_oracle, "lowest_eigenvalues", counting)
     ells = lowest_ells(1, 3)
@@ -252,12 +258,13 @@ def test_spin_down_rows_match_an_independent_solve(nu):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """(k, bracket) of every lowest_eigenvalues call the oracle makes."""
+    """(k, bracket, predicted) of every lowest_eigenvalues call the oracle
+    makes."""
     calls = []
 
-    def recording(matrix, k, bracket=None):
-        calls.append((k, bracket))
-        return lowest_eigenvalues(matrix, k, bracket)
+    def recording(matrix, k, bracket=None, predicted=None):
+        calls.append((k, bracket, predicted))
+        return lowest_eigenvalues(matrix, k, bracket, predicted)
 
     monkeypatch.setattr(radial_oracle, "lowest_eigenvalues", recording)
     return calls
@@ -296,7 +303,7 @@ def test_validate_sectors_solves_a_parity_once_per_ell(solves):
     reports = validate_sectors([(1, 1), (-1, -1)], NU44, ells, 2)
     assert [(r.eps1, r.eps2) for r in reports] == [(1, 1), (-1, -1)]
     assert [len(r.rows) for r in reports] == [2 * 3 * len(ells)] * 2
-    assert [k for k, _ in solves] == [3] * (3 * len(ells))
+    assert [k for k, *_ in solves] == [3] * (3 * len(ells))
 
 
 def test_run_oracle_suite_solves_each_radial_operator_once(solves):
@@ -309,7 +316,8 @@ def test_run_oracle_suite_solves_each_radial_operator_once(solves):
 
 def _finer_with_brackets(problem, n_max):
     """The second and third matrices of oracle_energies, each with the
-    bracket it bisects, taken from the levels of the grid before it."""
+    (vl, vu] bracket it is given, taken from the levels of the grid before
+    it."""
     levels = lowest_eigenvalues(build_tridiagonal(problem, GRIDS[0]), n_max + 1)
     finer = []
     for n in GRIDS[1:]:
@@ -349,15 +357,177 @@ def test_a_bracket_short_of_k_levels_or_k_1_gives_the_full_range_result():
         lowest_eigenvalues(fine, 1))
 
 
-def test_oracle_energies_bisects_the_fine_grid_in_a_bracket(solves):
-    # the coarsest solve and every n_max = 0 solve search the full range; the
-    # finer solves of n_max >= 1 get the brackets of _finer_with_brackets
+@pytest.fixture
+def lapack(monkeypatch):
+    """(select, vl, vu, tol) of every dstebz call lowest_eigenvalues makes:
+    select 1 bisects (vl, vu], select 2 finds levels by index."""
+    calls = []
+    real = radial_oracle.dstebz
+
+    def recording(d, e, select, vl, vu, il, iu, tol, order):
+        calls.append((select, vl, vu, tol))
+        return real(d, e, select, vl, vu, il, iu, tol, order)
+
+    monkeypatch.setattr(radial_oracle, "dstebz", recording)
+    return calls
+
+
+def _richardson_brackets(problem, n_max):
+    """The finest matrix of oracle_energies, its (vl, vu] bracket and the
+    levels' predicted (centres, half-widths): mu(h/2) + d/4 and 0.01 |d| +
+    1e-12, d = mu(h/2) - mu(h)."""
+    coarse = lowest_eigenvalues(build_tridiagonal(problem, GRIDS[0]), n_max + 1)
+    (mid_matrix, mid_bracket), (fine, bracket) = _finer_with_brackets(
+        problem, n_max)
+    mid = lowest_eigenvalues(mid_matrix, n_max + 1, mid_bracket)
+    step = mid - coarse
+    return fine, bracket, (mid + step / 4.0, 0.01 * np.abs(step) + 1e-12)
+
+
+def test_oracle_energies_bisects_the_fine_grid_level_by_level(solves, lapack):
+    # the coarsest solve searches the full range and the middle one (vl, vu]
+    # (n_max = 0 ignores its vu); the finest gets the predicted brackets,
+    # and LAPACK counts (vl, p_2 + w_2] once and bisects each bracket alone
     problem = _problem(F(1, 2), -1, NU44)
-    oracle_energies(problem, 0)
+    _, bracket, (centres, widths) = _richardson_brackets(problem, 2)
+    (_, mid_bracket), _ = _finer_with_brackets(problem, 2)
+    lapack.clear()
     oracle_energies(problem, 2)
-    assert [bracket for _, bracket in solves[:4]] == [None] * 4
-    assert [bracket for _, bracket in solves[4:]] == [
-        bracket for _, bracket in _finer_with_brackets(problem, 2)]
+    assert [(k, b) for k, b, _ in solves] == [(3, None), (3, mid_bracket),
+                                              (3, bracket)]
+    assert solves[0][2] is None and solves[1][2] is None
+    assert np.array_equal(solves[2][2][0], centres)
+    assert np.array_equal(solves[2][2][1], widths)
+    lo, hi = centres - widths, centres + widths
+    assert lapack == [(2, 0.0, 0.0, 1e-13), (1, *mid_bracket, 1e-13),
+                      (1, bracket[0], hi[-1], math.inf)] + [
+        (1, a, b, 1e-13) for a, b in zip(lo, hi)]
+    # each bracket is narrow: about 2e-4 wide against level spacings near 2
+    assert (hi - lo).max() < 1e-3
+    # n_max = 0: the middle grid ignores its vu = inf; the finest one is
+    # counted once and bisected in its one predicted bracket
+    full = oracle_energies(problem, 2)
+    solves.clear()
+    lapack.clear()
+    ground = oracle_energies(problem, 0)
+    floor = (problem.lam - 1.0, math.inf)
+    assert [(k, b) for k, b, _ in solves] == [(1, None), (1, floor), (1, floor)]
+    assert [select for select, *_ in lapack] == [2, 2, 1, 1]
+    assert lapack[2][3] == math.inf and lapack[3][2] - lapack[3][1] < 1e-3
+    assert ground == pytest.approx(full[:1], abs=2e-13, rel=0)
+
+
+def _bad_predictions(problem):
+    """The finest matrix and bracket at n_max = 2, with six predictions
+    that fail the count proof, each for one reason."""
+    fine, bracket, (centres, widths) = _richardson_brackets(problem, 2)
+    _, _, (next_centres, _) = _richardson_brackets(problem, 3)
+    vl, spacing = bracket[0], centres[1] - centres[0]
+    below_floor = centres.copy(), widths.copy()
+    low = vl - 1e-3  # bracket 0 is (vl - 1e-3, p_0 + w_0]: holds level 0 only
+    below_floor[0][0] = (low + centres[0] + widths[0]) / 2.0
+    below_floor[1][0] = (centres[0] + widths[0] - low) / 2.0
+    return fine, bracket, {
+        # the top bracket moved up one level: each bracket holds one level,
+        # but (vl, p_2 + w_2] holds four
+        "moved a level": (np.append(centres[:2], next_centres[3]), widths),
+        "off by 10 w": (centres + 10.0 * widths * np.array([0, 1, 0]), widths),
+        "overlapping": (centres, np.full(3, 0.75 * spacing)),
+        "below the floor": below_floor,
+        "no level": (centres + spacing / 2.0, widths),
+        # two brackets, on levels 0 and 2: (vl, p_2 + w_2] holds three
+        "k - 1 brackets": (centres[[0, 2]], widths[[0, 2]]),
+    }
+
+
+@pytest.mark.parametrize("ell, epsilon", [(1, 1), (F(1, 2), -1)])
+def test_a_bad_prediction_gives_the_levels_of_the_bracket(lapack, ell,
+                                                          epsilon):
+    problem = _problem(ell, epsilon, NU44)
+    fine, bracket, bad = _bad_predictions(problem)
+    wide = list(lowest_eigenvalues(fine, 3, bracket))
+    for why, predicted in bad.items():
+        lapack.clear()
+        assert list(lowest_eigenvalues(fine, 3, bracket, predicted)) == wide, why
+        # the (vl, vu] bisection ran, and ran last
+        assert lapack[-1] == (1, *bracket, 1e-13), why
+    # the good prediction passes the proof and gives the same levels
+    good = _richardson_brackets(problem, 2)[2]
+    lapack.clear()
+    assert list(lowest_eigenvalues(fine, 3, bracket, good)) == pytest.approx(
+        wide, abs=2e-13, rel=0)
+    assert len(lapack) == 4 and (1, *bracket, 1e-13) not in lapack
+
+
+def _wide_bracket(problem, n_max):
+    """oracle_energies as it was before the predicted brackets: scipy's
+    eigh_tridiagonal on each grid, the finest bisected over (lam - 1, vu]
+    from the grid before it, or by index when n_max = 0."""
+    mus, bracket = [], None
+    for n in GRIDS:
+        select = (dict(select="i", select_range=(0, n_max)) if bracket is None
+                  else dict(select="v", select_range=bracket))
+        mu = eigh_tridiagonal(*build_tridiagonal(problem, n), eigvals_only=True,
+                              lapack_driver="stebz", tol=1e-13, **select)
+        assert len(mu) >= n_max + 1
+        mus.append(mu := mu[:n_max + 1])
+        bracket = None if n_max == 0 else (
+            problem.lam - 1.0, mu[-1] + (mu[-1] - mu[-2]) / 2.0)
+    r_h, r_half = ((4.0 * b - a) / 3.0 for a, b in zip(mus, mus[1:]))
+    return (16.0 * r_half - r_h) / 15.0 / 2.0
+
+
+@pytest.mark.parametrize("nu", WIDE_NUS, ids=lambda nu: f"{nu[0]},{nu[1]}")
+def test_predicted_brackets_agree_with_the_wide_bracket(lapack, nu):
+    # both parities, their first five ells, n_max 2 and 9, with the odd
+    # ell = 1/2 row next to the limit-circle case at nu = (-49/100, -49/100):
+    # every solve passes the count proof, its last LAPACK call a bisection
+    # narrower than the floor's margin of 1, and gives the wide bracket's
+    # levels to the bisection tolerance
+    params = WignerParams(*nu)
+    problems = [_problem(ell, epsilon, params) for epsilon in (1, -1)
+                for ell in lowest_ells(epsilon, 5)]
+    assert lowest_ells(-1, 5)[0] == F(1, 2)
+    predicted = 0
+    for problem in problems:
+        for n_max in (2, 9):
+            lapack.clear()
+            levels = oracle_energies(problem, n_max)
+            select, vl, vu, _ = lapack[-1]
+            predicted += select == 1 and vu - vl < 1.0
+            change = np.abs(levels - _wide_bracket(problem, n_max))
+            assert change.max() <= 2e-13, (problem, n_max)
+    assert predicted == 2 * len(problems) == 20
+
+
+def test_a_non_finite_entry_is_refused_before_lapack_runs(lapack):
+    diag, off = np.linspace(1.0, 2.0, 20), np.full(19, -0.5)
+    for bad in ((np.where(np.arange(20) == 7, np.nan, diag), off),
+                (diag, np.where(np.arange(19) == 3, np.inf, off))):
+        for bracket in (None, (0.0, 3.0)):
+            with pytest.raises(ValueError, match="must be finite"):
+                lowest_eigenvalues(bad, 3, bracket)
+    assert lapack == []
+
+
+@pytest.mark.parametrize("info", [1, 4, -5])
+def test_a_nonzero_lapack_info_raises(monkeypatch, info):
+    real = radial_oracle.dstebz
+
+    def failing(*args):
+        m, w, iblock, isplit, _ = real(*args)
+        return m, w, iblock, isplit, info
+
+    monkeypatch.setattr(radial_oracle, "dstebz", failing)
+    with pytest.raises(np.linalg.LinAlgError, match=f"info = {info}"):
+        lowest_eigenvalues((np.linspace(1.0, 2.0, 20), np.full(19, -0.5)), 3)
+
+
+def test_an_inverted_bracket_is_refused_by_lapack():
+    # dstebz itself refuses vl >= vu (info = -5)
+    with pytest.raises(np.linalg.LinAlgError, match="info = -5"):
+        lowest_eigenvalues((np.linspace(1.0, 2.0, 20), np.full(19, -0.5)), 3,
+                           (3.0, 0.0))
 
 
 @pytest.mark.parametrize("n_max", [-1, 1.5, 10, True])
