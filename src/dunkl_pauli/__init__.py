@@ -2,7 +2,8 @@
 algebra, parity-sector spectra, a finite-difference eigenvalue oracle, and
 canonical thermodynamics.
 
-The pure-Python layers are imported with the package.  The names of
+The pure-Python layers are imported with the package; its records are
+immutable ``algebra._Record`` classes with ``__slots__``.  The names of
 ``radial_oracle`` (numpy, scipy) and ``thermo`` resolve on each access (PEP
 562); neither numpy nor scipy is loaded by ``import dunkl_pauli``.
 """

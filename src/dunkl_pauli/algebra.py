@@ -15,13 +15,47 @@ result; coefficients are handed out as fractions.Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 
-@dataclass(frozen=True)
-class WignerParams:
+class _Record:
+    """An immutable record whose fields are its ``__slots__``: it compares and
+    hashes as their tuple, against its own class only, prints as
+    ``Name(field=value, ...)`` and pickles by its fields.  ``__init__`` sets
+    them by ``_set``, or in a hot loop by one ``object.__setattr__`` each."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class WignerParams(_Record):
     """Deformation pair (nu1, nu2), each constrained to nu > -1/2.
 
     Values are stored as exact Fractions; floats are converted to their exact
@@ -29,16 +63,14 @@ class WignerParams:
     rationals matter.
     """
 
-    nu1: Fraction
-    nu2: Fraction
+    __slots__ = ("nu1", "nu2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nu1", Fraction(self.nu1))
-        object.__setattr__(self, "nu2", Fraction(self.nu2))
-        if self.nu1 <= Fraction(-1, 2) or self.nu2 <= Fraction(-1, 2):
-            raise ValueError(
-                f"Wigner parameters must be > -1/2, got ({self.nu1}, {self.nu2})"
-            )
+    def __init__(self, nu1, nu2):
+        nu1, nu2 = Fraction(nu1), Fraction(nu2)
+        if nu1 <= Fraction(-1, 2) or nu2 <= Fraction(-1, 2):
+            raise ValueError(f"Wigner parameters must be > -1/2, got ({nu1}, {nu2})")
+        object.__setattr__(self, "nu1", nu1)
+        object.__setattr__(self, "nu2", nu2)
 
     def nu(self, axis: int) -> Fraction:
         _check_axis(axis)

@@ -32,11 +32,10 @@ exact restriction: one basis build and one G image per basis function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .algebra import BivarPoly, WignerParams
+from .algebra import BivarPoly, WignerParams, _Record
 
 
 class Poly1:
@@ -230,12 +229,14 @@ def _times_s2(p: Poly1) -> Poly1:
     return p - p.shift_up(2)
 
 
-@dataclass(frozen=True)
-class TrigPoly:
+class TrigPoly(_Record):
     """f(theta) = even(cos theta) + sin theta * odd(cos theta), exact."""
 
-    even: Poly1 = Poly1()
-    odd: Poly1 = Poly1()
+    __slots__ = ("even", "odd")
+
+    def __init__(self, even: Poly1 = Poly1(), odd: Poly1 = Poly1()):
+        object.__setattr__(self, "even", even)
+        object.__setattr__(self, "odd", odd)
 
     @classmethod
     def one(cls) -> "TrigPoly":
@@ -466,8 +467,7 @@ def sector_basis(ell, epsilon: int, params: WignerParams):
     return f1, f2
 
 
-@dataclass(frozen=True)
-class AngularEigenpair:
+class AngularEigenpair(_Record):
     """One eigenpair of the angular momentum operator in one parity.
 
     The eigenfunction is weights[0]*basis[0] + weights[1]*basis[1] with exact
@@ -477,15 +477,15 @@ class AngularEigenpair:
     G(basis[0]) = m21*basis[1] and G(basis[1]) = m12*basis[0].
     """
 
-    epsilon: int
-    ell: Fraction
-    branch: int
-    lam: float
-    basis: tuple[TrigPoly, ...]
-    restriction: tuple[Fraction, Fraction]
-    weights: tuple[complex, ...]
-    params: WignerParams
-    is_constant_mode: bool = False
+    __slots__ = ("epsilon", "ell", "branch", "lam", "basis", "restriction",
+                 "weights", "params", "is_constant_mode")
+
+    def __init__(self, epsilon: int, ell: Fraction, branch: int, lam: float,
+                 basis: tuple[TrigPoly, ...], restriction: tuple[Fraction, Fraction],
+                 weights: tuple[complex, ...], params: WignerParams,
+                 is_constant_mode: bool = False):
+        self._set(epsilon, ell, branch, lam, basis, restriction, weights, params,
+                  is_constant_mode)
 
     def eigenfunction(self, theta: float) -> complex:
         return sum(w * f.evaluate(theta) for w, f in zip(self.weights, self.basis))

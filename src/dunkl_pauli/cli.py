@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import re
@@ -24,8 +23,9 @@ from .angular import lambda_value
 from .spectrum import (SECTORS, SectorState, energy_over_omega_c, eta,
                        lowest_ells, rho)
 
-# thermo and verify are imported inside the commands that use them; numpy by
-# figure, verify's oracle (and scipy) and thermo beyond rounding._COLD points
+# thermo, verify and json are imported inside the commands that use them;
+# numpy by figure, verify's oracle (and scipy) and thermo beyond
+# rounding._COLD points
 
 
 def _sector_name(sector: tuple[int, int], signs: str = "+-") -> str:
@@ -258,6 +258,7 @@ def _provenance() -> dict:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    import json
     # every CSV and manifest is rendered before anything is written, so an
     # ell that a sector rejects, or a ladder the thermo kernel cannot
     # evaluate, leaves no partial bundle and no empty directory behind

@@ -58,7 +58,6 @@ and nothing assumes an h^2 fall of the error, which limit-circle rows lack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral
 
@@ -66,18 +65,18 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dstebz
 
-from .algebra import WignerParams
+from .algebra import WignerParams, _Record
 from .angular import lambda_value
 from .spectrum import SECTORS, OscillatorScale, SectorState, energy_over_omega_c
 
 
-@dataclass(frozen=True)
-class RadialProblem:
+class RadialProblem(_Record):
     """The radial operator of parity epsilon, without the Zeeman term."""
 
-    lam: float
-    epsilon: int
-    params: WignerParams
+    __slots__ = ("lam", "epsilon", "params")
+
+    def __init__(self, lam: float, epsilon: int, params: WignerParams):
+        self._set(lam, epsilon, params)
 
     @property
     def centrifugal_coefficient(self) -> float:
@@ -126,11 +125,14 @@ def lowest_eigenvalues(matrix, k: int, bracket=None, predicted=None):
     Non-finite entries raise ValueError before LAPACK runs, a nonzero info
     LinAlgError.  Predicted (centres, half-widths) give one level each if the
     count proof (module doc) holds above vl of the bracket (vl, vu]; else its
-    first k levels if k > 1 and it holds k; else the full range's."""
+    first k levels if k > 1 and it holds k; else the full range's.  A bracket
+    without vl < vu (a NaN end too) raises ValueError."""
     diag, off = (np.asarray(a, dtype=float) for a in matrix)
     _check_integer("k", k, 1, min(10, len(diag)))
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("the matrix entries must be finite")
+    if bracket is not None and not bracket[0] < bracket[1]:
+        raise ValueError(f"bracket must have vl < vu, got ({bracket[0]}, {bracket[1]})")
     e = off if len(diag) > 1 else np.zeros(1)  # dstebz takes one e at n = 1
 
     def stebz(select, vl=0.0, vu=0.0, tol=1e-13):  # 1: (vl, vu]; 2: 1..k
@@ -168,30 +170,24 @@ def oracle_energies(problem: RadialProblem, n_max: int):
     return (16.0 * r_half - r_h) / 15.0 / 2.0  # extrapolated 2E, halved
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    eps1: int
-    eps2: int
-    ell: Fraction
-    n: int
-    m_s: int
-    oracle: float
-    closed_form: float
+class ComparisonRow(_Record):
+    __slots__ = ("eps1", "eps2", "ell", "n", "m_s", "oracle", "closed_form")
+
+    def __init__(self, eps1: int, eps2: int, ell: Fraction, n: int, m_s: int,
+                 oracle: float, closed_form: float):
+        self._set(eps1, eps2, ell, n, m_s, oracle, closed_form)
 
     @property
     def deviation(self) -> float:
         return abs(self.oracle - self.closed_form)
 
 
-@dataclass
 class SectorReport:
     """Oracle-vs-closed-form comparison for one sector and parameter set."""
 
-    eps1: int
-    eps2: int
-    params: WignerParams
-    tolerance: float
-    rows: list = field(default_factory=list)
+    def __init__(self, eps1: int, eps2: int, params: WignerParams, tolerance: float):
+        self.eps1, self.eps2, self.params, self.tolerance = eps1, eps2, params, tolerance
+        self.rows: list[ComparisonRow] = []
 
     @property
     def worst(self) -> float:

@@ -16,52 +16,55 @@ the exact radical identity sqrt((nu1 +/- nu2)^2 + lam^2) = 2*ell + nu1 + nu2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import WignerParams
+from .algebra import WignerParams, _Record
 from .angular import _validate_sector_ell, lambda_radicand, lambda_value
 
 
-@dataclass(frozen=True)
-class OscillatorScale:
+class OscillatorScale(_Record):
     """The cyclotron frequency omega_c, the energy unit of `energy`.
 
     hbar = 1 and g_s = 2 throughout: the closed-form spectra hold only at
     g_s = 2, where the Zeeman coupling B*mu_B*g_s equals omega_c.
     """
 
-    omega_c: float = 1.0
+    __slots__ = ("omega_c",)
 
-    def __post_init__(self):
-        if self.omega_c <= 0:
+    def __init__(self, omega_c: float = 1.0):
+        if omega_c <= 0:
             raise ValueError("omega_c must be positive")
+        object.__setattr__(self, "omega_c", omega_c)
 
 
-@dataclass(frozen=True)
-class SectorState:
+class SectorState(_Record):
     """Quantum numbers of one level: parity sector, radial n, angular ell,
-    spin projection label m_s, and the sign branch of lam."""
+    spin projection label m_s, and the sign branch of lam; not bools."""
 
-    eps1: int
-    eps2: int
-    n: int
-    ell: Fraction
-    m_s: int
-    branch: int = 1
+    __slots__ = ("eps1", "eps2", "n", "ell", "m_s", "branch")
 
-    def __post_init__(self):
-        if self.eps1 not in (1, -1) or self.eps2 not in (1, -1):
-            raise ValueError(f"sector labels must be +/-1, got ({self.eps1}, {self.eps2})")
-        if self.m_s not in (1, -1):
-            raise ValueError(f"m_s must be +1 or -1, got {self.m_s}")
-        if self.branch not in (1, -1):
-            raise ValueError(f"branch must be +1 or -1, got {self.branch}")
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"n must be a nonnegative integer, got {self.n}")
-        if not isinstance(self.ell, Fraction):
-            object.__setattr__(self, "ell", Fraction(self.ell))
-        _validate_sector_ell(self.ell, self.eps1 * self.eps2)
+    def __init__(self, eps1: int, eps2: int, n: int, ell: Fraction, m_s: int,
+                 branch: int = 1):
+        kinds = type(eps1), type(eps2), type(n), type(m_s), type(branch)
+        if bool in kinds:
+            name = ("eps1", "eps2", "n", "m_s", "branch")[kinds.index(bool)]
+            raise ValueError(f"{name} must be an integer, not a bool")
+        if eps1 not in (1, -1) or eps2 not in (1, -1):
+            raise ValueError(f"sector labels must be +/-1, got ({eps1}, {eps2})")
+        if m_s not in (1, -1):
+            raise ValueError(f"m_s must be +1 or -1, got {m_s}")
+        if branch not in (1, -1):
+            raise ValueError(f"branch must be +1 or -1, got {branch}")
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n}")
+        ell = ell if isinstance(ell, Fraction) else Fraction(ell)
+        _validate_sector_ell(ell, eps1 * eps2)
+        object.__setattr__(self, "eps1", eps1)
+        object.__setattr__(self, "eps2", eps2)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m_s", m_s)
+        object.__setattr__(self, "branch", branch)
 
     @property
     def epsilon(self) -> int:

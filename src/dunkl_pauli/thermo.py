@@ -34,32 +34,32 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import _Record
 from .rounding import _two_sum, round_curve
 
 MODES = ("consistent", "paper-faithful")
 
 
-@dataclass(frozen=True)
-class ThermoInputs:
+class ThermoInputs(_Record):
     """Dimensionless evaluation point: x = beta*omega_c plus the ladder's
     (rho, eta), all three finite, and the evaluation mode."""
 
-    x: float
-    rho: float
-    eta: float
-    mode: str = "consistent"
+    __slots__ = ("x", "rho", "eta", "mode")
 
-    def __post_init__(self):
-        for name, v in (("x", self.x), ("rho", self.rho), ("eta", self.eta)):
+    def __init__(self, x: float, rho: float, eta: float, mode: str = "consistent"):
+        for name, v in (("x", x), ("rho", rho), ("eta", eta)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if not self.x > 0:
-            raise ValueError(f"x = beta*omega_c must be positive, got {self.x}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not x > 0:
+            raise ValueError(f"x = beta*omega_c must be positive, got {x}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "mode", mode)
 
 
 def _value(quantity: str, inputs: ThermoInputs) -> float:
@@ -129,21 +129,19 @@ def entropy(inputs: ThermoInputs) -> float:
     return _value("S", inputs)
 
 
-@dataclass(frozen=True)
-class ThermoCurve:
+class ThermoCurve(_Record):
     """One thermal quantity sampled on an ascending dimensionless temperature
     grid tau = KT/omega_c."""
 
-    quantity: str
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    provenance: ThermoInputs
+    __slots__ = ("quantity", "grid", "values", "provenance")
 
-    def __post_init__(self):
-        if any(map(operator.le, self.grid[1:], self.grid)):
+    def __init__(self, quantity: str, grid: tuple[float, ...],
+                 values: tuple[float, ...], provenance: ThermoInputs):
+        if any(map(operator.le, grid[1:], grid)):
             raise ValueError("temperature grid must be strictly ascending")
-        if not all(map(math.isfinite, self.values)):
+        if not all(map(math.isfinite, values)):
             raise ValueError("curve contains non-finite values")
+        self._set(quantity, grid, values, provenance)
 
 
 QUANTITIES = {

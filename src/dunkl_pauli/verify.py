@@ -21,13 +21,12 @@ import math
 import random
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import thermo
-from .algebra import (BivarPoly, WignerParams, X1, X2, angular_momentum_action,
-                      commutator_xD, dunkl_derive, dunkl_laplacian,
-                      dunkl_laplacian_expanded, reflect)
+from .algebra import (BivarPoly, WignerParams, X1, X2, _Record,
+                      angular_momentum_action, commutator_xD, dunkl_derive,
+                      dunkl_laplacian, dunkl_laplacian_expanded, reflect)
 from .angular import (Poly1, TrigPoly, angular_eigenpair, angular_eigenpairs,
                       apply_B, apply_G, jacobi, lambda_radicand,
                       restrict_to_circle)
@@ -49,13 +48,10 @@ ORACLE_NUS = ((Fraction(0), Fraction(0)),
               (Fraction(-2, 5), Fraction(2, 5)))
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    failed: int = 0
-    counterexamples: list = field(default_factory=list)
-    seconds: float = 0.0
+    def __init__(self, name: str):
+        self.name, self.passed, self.failed, self.seconds = name, 0, 0, 0.0
+        self.counterexamples: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -71,11 +67,11 @@ class SuiteResult:
                 self.counterexamples.append(describe())
 
 
-@dataclass(frozen=True)
-class DiscrepancyFinding:
-    key: str
-    confirmed: bool
-    detail: str
+class DiscrepancyFinding(_Record):
+    __slots__ = ("key", "confirmed", "detail")
+
+    def __init__(self, key: str, confirmed: bool, detail: str):
+        self._set(key, confirmed, detail)
 
 
 def _random_nu(rng: random.Random) -> Fraction:
@@ -419,10 +415,9 @@ def discrepancy_report() -> list[DiscrepancyFinding]:
     ]
 
 
-@dataclass
 class VerifyReport:
-    suites: list
-    findings: list
+    def __init__(self, suites: list[SuiteResult], findings: list[DiscrepancyFinding]):
+        self.suites, self.findings = suites, findings
 
     @property
     def ok(self) -> bool:

@@ -499,12 +499,16 @@ def test_cli_import_does_not_load_scipy_integrate():
 
 
 # each command in a fresh interpreter: the most points one round_curve call
-# of thermo rounded one by one, and which of numpy, scipy and scipy.linalg it
-# loaded.  The oracle is the only layer that needs scipy.  A spectrum table
-# needs no numpy, nor does a thermo curve of up to rounding._COLD points; a
-# longer one and a figure bundle load it, before their grid is rounded.
+# of thermo rounded one by one, and which of numpy, scipy, scipy.linalg,
+# dataclasses, inspect and json it loaded.  The oracle is the only layer that
+# needs scipy.  A spectrum table needs no numpy, nor does a thermo curve of up
+# to rounding._COLD points; a longer one and a figure bundle load it, before
+# their grid is rounded.  Only a figure bundle loads json, for its manifests,
+# and no command loads dataclasses or inspect; inspect is listed only without
+# numpy, which may load it itself.  The probe's own json is imported after the
+# modules are listed.
 _FOOTPRINT_PROBE = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
 from dunkl_pauli import rounding, thermo
 from dunkl_pauli.cli import main
 points, largest = [0], [0]
@@ -520,8 +524,11 @@ def measured(*args, _curve=thermo.round_curve):
 rounding._round_point, thermo.round_curve = counted, measured
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, largest[0]] + [
-    m for m in ("numpy", "scipy", "scipy.linalg") if m in sys.modules]))
+loaded = [m for m in ("numpy", "scipy", "scipy.linalg", "dataclasses",
+                     "inspect", "json") if m in sys.modules
+          and not (m == "inspect" and "numpy" in sys.modules)]
+import json
+print(json.dumps([code, largest[0]] + loaded))
 """
 
 
@@ -533,7 +540,8 @@ print(json.dumps([code, largest[0]] + [
     # 999 of its 1,003 points are not whole powers of 10: a grid call that
     # stays under _COLD while the curve goes over it
     (("thermo", "--quantity", "C", "--steps", str(_COLD + 3)), ["numpy"]),
-    (("figure", "--figure", "2a", "--steps", "8", "--out", "{tmp}"), ["numpy"]),
+    (("figure", "--figure", "2a", "--steps", "8", "--out", "{tmp}"),
+     ["numpy", "json"]),
     (("verify", "--skip-oracle"), []),
 ], ids=["import", "spectrum", "thermo", "thermo-long", "thermo-long-grid",
         "figure", "verify-skip-oracle"])

@@ -523,11 +523,18 @@ def test_a_nonzero_lapack_info_raises(monkeypatch, info):
         lowest_eigenvalues((np.linspace(1.0, 2.0, 20), np.full(19, -0.5)), 3)
 
 
-def test_an_inverted_bracket_is_refused_by_lapack():
-    # dstebz itself refuses vl >= vu (info = -5)
-    with pytest.raises(np.linalg.LinAlgError, match="info = -5"):
+@pytest.mark.parametrize("bracket", [(3.0, 0.0), (1.5, 1.5), (math.nan, 3.0),
+                                     (0.0, math.nan)],
+                         ids=["inverted", "empty", "nan-vl", "nan-vu"])
+def test_a_bracket_without_vl_below_vu_is_refused_by_name(lapack, capfd, bracket):
+    # dstebz refuses vl >= vu too (info = -5), but only after its xerbla has
+    # printed "** On entry to DSTEBZ parameter number 5 ..." on stdout
+    message = f"bracket must have vl < vu, got ({bracket[0]}, {bracket[1]})"
+    with pytest.raises(ValueError, match=re.escape(message)):
         lowest_eigenvalues((np.linspace(1.0, 2.0, 20), np.full(19, -0.5)), 3,
-                           (3.0, 0.0))
+                           bracket)
+    assert lapack == []
+    assert capfd.readouterr().out == ""
 
 
 @pytest.mark.parametrize("n_max", [-1, 1.5, 10, True])

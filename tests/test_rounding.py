@@ -8,6 +8,7 @@ negative eta, both evaluation paths of the fast code (vectorised and
 point by point), the scalar functions and the decimal fallback.
 """
 
+import decimal
 import hashlib
 import importlib.util
 import json
@@ -145,6 +146,21 @@ def test_decimal_fallback_settles_an_exact_midpoint():
     got = rounding.round_curve(lambda num, t: ((), num.const(t) * 1.5), (0.5, 0.7))
     assert got == [0.75, float(Fraction(0.7) * Fraction(3, 2))]
     assert got == [0.75, 1.0499999999999998]
+
+
+def test_exp_tables_equal_one_60_digit_exp_per_entry():
+    # _exp's tables are the powers of one exp(ln2/n) each; every entry, hi
+    # and lo, must be the split of its own 60-digit exp(j*ln2/n), bit for bit
+    ctx = decimal.Context(prec=60)
+    ln2 = ctx.ln(2)
+    reference = []
+    for n in (64, 4096):
+        exact = [ctx.exp(ctx.multiply(ln2, ctx.divide(j, n))) for j in range(64)]
+        his = [float(d) for d in exact]
+        reference += [his, [float(ctx.subtract(d, decimal.Decimal(hi)))
+                            for d, hi in zip(exact, his)]]
+    assert ([list(map(float.hex, col)) for col in rounding._constants().tables]
+            == [list(map(float.hex, col)) for col in reference])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

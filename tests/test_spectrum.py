@@ -86,6 +86,19 @@ def test_sector_state_validation():
         OscillatorScale(omega_c=-1.0)
 
 
+@pytest.mark.parametrize("labels, name", [
+    ((True, 1, 1, 1, 1), "eps1"), ((1, True, 1, 1, 1), "eps2"),
+    ((1, 1, True, 1, 1), "n"), ((1, 1, False, 1, 1), "n"),
+    ((1, 1, 0, 1, True), "m_s"), ((1, 1, 0, 1, 1, True), "branch"),
+    ((True, 1, True, 1, True, True), "eps1"),
+])
+def test_a_bool_label_is_refused_by_name(labels, name):
+    # True == 1 and False == 0 pass every range check: the state
+    # (True, 1, True, 1, True, True) used to have energy 3.0
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not a bool$"):
+        SectorState(*labels)
+
+
 def test_sector_forms_match_compact_form():
     for params in NU_GRID:
         for eps1, eps2 in SECTORS:

@@ -1,12 +1,11 @@
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 from dunkl_pauli import angular, verify
 from dunkl_pauli.algebra import WignerParams
-from dunkl_pauli.angular import TrigPoly
+from dunkl_pauli.angular import AngularEigenpair, TrigPoly
 from dunkl_pauli.spectrum import lowest_ells
 from dunkl_pauli.verify import SuiteResult
 
@@ -90,7 +89,10 @@ def test_the_residual_bound_fails_a_perturbed_weight(monkeypatch):
         if (ell, epsilon, params) != case:
             return pairs
         builds.append(case)
-        return tuple(replace(p, weights=(p.weights[0], p.weights[1] * (1 + 1e-9)))
+        return tuple(AngularEigenpair(p.epsilon, p.ell, p.branch, p.lam, p.basis,
+                                      p.restriction,
+                                      (p.weights[0], p.weights[1] * (1 + 1e-9)),
+                                      p.params, p.is_constant_mode)
                      for p in pairs)
 
     monkeypatch.setattr(verify, "angular_eigenpairs", perturbed)
