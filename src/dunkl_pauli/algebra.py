@@ -1,15 +1,16 @@
-"""Exact Cartesian building blocks: Wigner parameters, sparse rational
-bivariate polynomials, reflections and Dunkl derivatives.
+"""Exact Cartesian building blocks: Wigner parameters, the exact polynomial
+kernel, bivariate polynomials, reflections and Dunkl derivatives.
 
 Everything in this module is computed exactly over the rationals, so operator
-identities can be asserted with zero tolerance.  A polynomial represents
-sum c_ij * x1^i * x2^j as a sparse map from exponent pairs (i, j) to integer
-numerators over one common positive denominator, reduced so that the
-numerators and the denominator are coprime (the content/primitive-part form of
-Geddes, Czapor & Labahn, Algorithms for Computer Algebra, 1992).  Zero
-coefficients are never stored, so equality of the stored integers is equality
-of the polynomials.  Arithmetic works on the integers and reduces once per
-result; coefficients are handed out as fractions.Fraction.
+identities can be asserted with zero tolerance.  One kernel, _Poly, holds both
+BivarPoly (sum c_ij * x1^i * x2^j, keyed by (i, j)) and angular.Poly1 (keyed
+by the power k): a sparse map from exponents to integer numerators over one
+common positive denominator, reduced so that the numerators and the
+denominator are coprime (the content/primitive-part form of Geddes, Czapor &
+Labahn, Algorithms for Computer Algebra, 1992).  Zero coefficients are never
+stored, so equality of the stored integers is equality of the polynomials.
+Arithmetic works on the integers and reduces once per result; coefficients
+are handed out as fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -87,15 +88,123 @@ def _check_axis(axis: int) -> None:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
 
 
-class BivarPoly:
-    """Sparse exact polynomial in two variables with rational coefficients.
-
-    Stored as integer numerators over one common positive denominator, in
-    canonical form: no zero numerator is stored, the numerators and the
-    denominator are coprime, and the zero polynomial has denominator 1.
-    """
+class _Poly:
+    """The exact polynomial kernel (module doc): _n maps exponents to nonzero
+    integer numerators over the positive denominator _d, coprime to them; the
+    zero polynomial has denominator 1.  A subclass supplies only the exponent
+    of its constant term, _ONE, and of a product of monomials, _add_exp.  An
+    operand of another class, or for + - * a non-Rational, gives
+    NotImplemented."""
 
     __slots__ = ("_n", "_d")
+
+    def _set_fractions(self, fracs: dict) -> None:
+        """Set the canonical form of {exponent: Fraction}."""
+        den = math.lcm(*[c.denominator for c in fracs.values()])
+        self._n, self._d = self._canonical(
+            {m: c.numerator * (den // c.denominator) for m, c in fracs.items()},
+            den)
+
+    @staticmethod
+    def _canonical(nums: dict, den: int):
+        """Drop zero numerators and divide out their gcd with the denominator."""
+        if not all(nums.values()):
+            nums = {m: n for m, n in nums.items() if n}
+        if not nums:
+            return nums, 1
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: n // g for m, n in nums.items()}
+            den //= g
+        return nums, den
+
+    @classmethod
+    def _raw(cls, nums: dict, den: int):
+        """Wrap numerators already in canonical form."""
+        p = object.__new__(cls)
+        p._n, p._d = nums, den
+        return p
+
+    @classmethod
+    def _make(cls, nums: dict, den: int):
+        """Canonicalise integer numerators over a positive denominator."""
+        p = object.__new__(cls)
+        p._n, p._d = cls._canonical(nums, den)
+        return p
+
+    @property
+    def coeffs(self) -> dict:
+        d = self._d
+        return {m: Fraction(n, d) for m, n in self._n.items()}
+
+    def is_zero(self) -> bool:
+        return not self._n
+
+    def _combine(self, other, sign: int):
+        """self + sign*other over the least common denominator; a Rational
+        other is the constant term."""
+        if other.__class__ is not self.__class__:
+            if not isinstance(other, Rational):
+                return NotImplemented
+            other = self._make({self._ONE: other.numerator}, other.denominator)
+        d1, d2 = self._d, other._d
+        g = math.gcd(d1, d2)
+        a, b = d2 // g, sign * (d1 // g)
+        out = {m: n * a for m, n in self._n.items()} if a != 1 else dict(self._n)
+        for m, n in other._n.items():
+            out[m] = out.get(m, 0) + n * b
+        return self._make(out, d1 * a)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._combine(other, 1)
+
+    def __neg__(self):
+        return self._raw({m: -n for m, n in self._n.items()}, self._d)
+
+    def __mul__(self, other):
+        if other.__class__ is self.__class__:
+            add, out = self._add_exp, {}
+            get, items = out.get, other._n.items()
+            for m1, n1 in self._n.items():
+                for m2, n2 in items:
+                    m = add(m1, m2)
+                    out[m] = get(m, 0) + n1 * n2
+            return self._make(out, self._d * other._d)
+        if type(other) is int or type(other) is Fraction or isinstance(other, Rational):
+            num = other.numerator
+            return self._make({m: n * num for m, n in self._n.items()},
+                              self._d * other.denominator)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._d == other._d and self._n == other._n
+
+    def __hash__(self):
+        return hash((frozenset(self._n.items()), self._d))
+
+
+class BivarPoly(_Poly):
+    """Sparse exact polynomial in two variables with rational coefficients,
+    keyed by exponent pairs (i, j) (the _Poly canonical form)."""
+
+    __slots__ = ()
+    _ONE = (0, 0)
+
+    @staticmethod
+    def _add_exp(m1: tuple[int, int], m2: tuple[int, int]) -> tuple[int, int]:
+        return (m1[0] + m2[0], m1[1] + m2[1])
 
     def __init__(self, coeffs: dict | None = None):
         fracs: dict[tuple[int, int], Fraction] = {}
@@ -103,22 +212,7 @@ class BivarPoly:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in monomial ({i}, {j})")
             fracs[(int(i), int(j))] = Fraction(c)
-        den = math.lcm(*[c.denominator for c in fracs.values()])
-        self._n, self._d = _canonical(
-            {m: c.numerator * (den // c.denominator) for m, c in fracs.items()},
-            den)
-
-    @classmethod
-    def _raw(cls, nums: dict[tuple[int, int], int], den: int) -> "BivarPoly":
-        """Wrap numerators already in canonical form."""
-        p = object.__new__(cls)
-        p._n, p._d = nums, den
-        return p
-
-    @classmethod
-    def _make(cls, nums: dict[tuple[int, int], int], den: int) -> "BivarPoly":
-        """Canonicalise integer numerators over a positive denominator."""
-        return cls._raw(*_canonical(nums, den))
+        self._set_fractions(fracs)
 
     @classmethod
     def zero(cls) -> "BivarPoly":
@@ -132,14 +226,6 @@ class BivarPoly:
     def monomial(cls, i: int, j: int, c=1) -> "BivarPoly":
         return cls({(i, j): Fraction(c)})
 
-    @property
-    def coeffs(self) -> dict[tuple[int, int], Fraction]:
-        d = self._d
-        return {m: Fraction(n, d) for m, n in self._n.items()}
-
-    def is_zero(self) -> bool:
-        return not self._n
-
     def total_degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
         return max((i + j for i, j in self._n), default=0)
@@ -147,49 +233,6 @@ class BivarPoly:
     def evaluate(self, x1, x2):
         return sum((c * x1**i * x2**j for (i, j), c in self.coeffs.items()),
                    start=Fraction(0) * x1)
-
-    def _combine(self, other: "BivarPoly", sign: int) -> "BivarPoly":
-        """self + sign*other over the least common denominator."""
-        d1, d2 = self._d, other._d
-        g = math.gcd(d1, d2)
-        a, b = d2 // g, sign * (d1 // g)
-        out = {m: n * a for m, n in self._n.items()} if a != 1 else dict(self._n)
-        for m, n in other._n.items():
-            out[m] = out.get(m, 0) + n * b
-        return BivarPoly._make(out, d1 * a)
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "BivarPoly":
-        return BivarPoly._raw({m: -n for m, n in self._n.items()}, self._d)
-
-    def __mul__(self, other):
-        if isinstance(other, BivarPoly):
-            out: dict[tuple[int, int], int] = {}
-            for (i1, j1), n1 in self._n.items():
-                for (i2, j2), n2 in other._n.items():
-                    mono = (i1 + i2, j1 + j2)
-                    out[mono] = out.get(mono, 0) + n1 * n2
-            return BivarPoly._make(out, self._d * other._d)
-        if type(other) is int or type(other) is Fraction or isinstance(other, Rational):
-            num, den = other.numerator, other.denominator
-            return BivarPoly._make({m: n * num for m, n in self._n.items()},
-                                   self._d * den)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        return self._d == other._d and self._n == other._n
-
-    def __hash__(self):
-        return hash((frozenset(self._n.items()), self._d))
 
     def __repr__(self) -> str:
         if not self._n:
@@ -200,18 +243,6 @@ class BivarPoly:
             body = "".join(f"*x{k}^{e}" for k, e in ((1, i), (2, j)) if e)
             terms.append(f"{coeffs[(i, j)]}{body}")
         return "BivarPoly(" + " + ".join(terms) + ")"
-
-
-def _canonical(nums: dict[tuple[int, int], int], den: int):
-    """Drop zero numerators and divide out their gcd with the denominator."""
-    nums = {m: n for m, n in nums.items() if n}
-    if not nums:
-        return nums, 1
-    g = math.gcd(den, *nums.values())
-    if g != 1:
-        nums = {m: n // g for m, n in nums.items()}
-        den //= g
-    return nums, den
 
 
 X1 = BivarPoly.monomial(1, 0)

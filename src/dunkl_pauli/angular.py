@@ -10,13 +10,9 @@ multiplier (tan, cot, 1/cos^2, 1/sin^2) pairs with a reflection difference
 that supplies the compensating factor, so all divisions are exact polynomial
 divisions.
 
-A Poly1 holds integer numerators over one common positive denominator,
-reduced so that the numerators and the denominator are coprime (the
-content/primitive-part form of Geddes, Czapor & Labahn, Algorithms for
-Computer Algebra, 1992).  Arithmetic works on the integers and reduces once
-per result, so equality is exact rational equality and the operator
-identities hold with zero tolerance.  Coefficients are handed out as
-fractions.Fraction; float evaluation uses the correctly rounded n/den.
+A Poly1 is a polynomial in c on algebra's exact kernel (_Poly), so equality
+is exact rational equality and the operator identities hold with zero
+tolerance; float evaluation uses the correctly rounded n/den.
 
 Eigenfunctions for the eigenvalue lam of i*G are built per parity eps of
 R1R2 (G commutes with R1R2, not with R1 or R2) from a two-dimensional
@@ -32,117 +28,47 @@ exact restriction: one basis build and one G image per basis function.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 
-from .algebra import BivarPoly, WignerParams, _Record
+from .algebra import BivarPoly, WignerParams, _Poly, _Record
 
 
-class Poly1:
-    """Dense exact univariate polynomial in ascending powers.
-
-    Stored as integer numerators over one positive denominator, in canonical
-    form: no trailing zero numerator, the numerators and the denominator are
-    coprime, and the zero polynomial has denominator 1.  Float evaluation
-    uses the coefficients n/den; int/int true division is correctly rounded,
-    so they equal float(Fraction(n, den)).
+class Poly1(_Poly):
+    """Exact univariate polynomial in ascending powers of c: the _Poly
+    canonical form keyed by the exponent k.  Its coefficients are handed
+    out densely; float evaluation uses the coefficients n/den, and int/int
+    true division is correctly rounded, so they equal float(Fraction(n, den)).
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ()
+    _ONE = 0
+    _add_exp = operator.add
 
     def __init__(self, coeffs=()):
-        fracs = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
-        den = math.lcm(*[v.denominator for v in fracs])
-        self._n, self._d = _canonical(
-            [v.numerator * (den // v.denominator) for v in fracs], den)
-
-    @classmethod
-    def _raw(cls, nums: tuple[int, ...], den: int) -> "Poly1":
-        """Wrap numerators already in canonical form."""
-        p = object.__new__(cls)
-        p._n, p._d = nums, den
-        return p
-
-    @classmethod
-    def _make(cls, nums: list[int], den: int) -> "Poly1":
-        """Canonicalise integer numerators over a positive denominator."""
-        return cls._raw(*_canonical(nums, den))
+        self._set_fractions({k: v if type(v) is Fraction else Fraction(v)
+                             for k, v in enumerate(coeffs)})
 
     @classmethod
     def one(cls) -> "Poly1":
-        return cls._raw((1,), 1)
+        return cls._raw({0: 1}, 1)
 
     @classmethod
     def x(cls) -> "Poly1":
-        return cls._raw((0, 1), 1)
+        return cls._raw({1: 1}, 1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        d = self._d
-        return tuple([Fraction(n, d) for n in self._n])
-
-    def is_zero(self) -> bool:
-        return not self._n
+        n, d = self._n, self._d
+        return tuple([Fraction(n.get(k, 0), d) for k in range(self.degree() + 1)])
 
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
-        return len(self._n) - 1
+        return max(self._n, default=-1)
 
     def __getitem__(self, k: int) -> Fraction:
-        return Fraction(self._n[k], self._d) if 0 <= k < len(self._n) else Fraction(0)
-
-    def _combine(self, other: "Poly1", sign: int) -> "Poly1":
-        """self + sign*other over the least common denominator."""
-        d1, d2 = self._d, other._d
-        g = math.gcd(d1, d2)
-        a, b = d2 // g, sign * (d1 // g)
-        out = [x * a for x in self._n] if a != 1 else list(self._n)
-        n2 = other._n
-        if len(n2) > len(out):
-            out.extend([0] * (len(n2) - len(out)))
-        for k, y in enumerate(n2):
-            out[k] += y * b
-        return Poly1._make(out, d1 * a)
-
-    def __add__(self, other):
-        if not isinstance(other, Poly1):
-            if not isinstance(other, Rational):
-                return NotImplemented
-            other = Poly1._make([other.numerator], other.denominator)
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly1":
-        return Poly1._raw(tuple([-x for x in self._n]), self._d)
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly1):
-            if not isinstance(other, Rational):
-                return NotImplemented
-            other = Poly1._make([other.numerator], other.denominator)
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Poly1):
-            a, b = self._n, other._n
-            if not a or not b:
-                return Poly1._raw((), 1)
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-            return Poly1._make(out, self._d * other._d)
-        if type(other) is int or type(other) is Fraction or isinstance(other, Rational):
-            num = other.numerator
-            return Poly1._make([x * num for x in self._n], self._d * other.denominator)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return Fraction(self._n.get(k, 0), self._d)
 
     def __truediv__(self, scalar):
         q = scalar if type(scalar) is int else Fraction(scalar)
@@ -151,77 +77,49 @@ class Poly1:
             raise ZeroDivisionError("Poly1 division by zero")
         if num < 0:
             num, den = -num, -den
-        return Poly1._make([x * den for x in self._n], self._d * num)
+        return Poly1._make({k: n * den for k, n in self._n.items()}, self._d * num)
 
     def derivative(self) -> "Poly1":
-        n = self._n
-        return Poly1._make([k * n[k] for k in range(1, len(n))], self._d)
+        return Poly1._make({k - 1: k * n for k, n in self._n.items() if k}, self._d)
 
     def compose_neg(self) -> "Poly1":
         """Substitute c -> -c (sign flip on odd coefficients)."""
-        return Poly1._raw(tuple([-x if k % 2 else x for k, x in enumerate(self._n)]),
+        return Poly1._raw({k: -n if k % 2 else n for k, n in self._n.items()},
                           self._d)
 
     def odd_shift(self) -> "Poly1":
         """(P(c) - P(-c)) / (2c): odd coefficients shifted down one power."""
-        out = [0] * max(len(self._n) - 1, 0)
-        out[0::2] = self._n[1::2]
-        return Poly1._make(out, self._d)
+        return Poly1._make({k - 1: n for k, n in self._n.items() if k % 2}, self._d)
 
     def div_c(self) -> "Poly1":
         """Exact division by c; raises if the constant term is nonzero."""
-        if self._n and self._n[0] != 0:
+        if 0 in self._n:
             raise ArithmeticError("polynomial not divisible by c")
-        return Poly1._raw(self._n[1:], self._d)
+        return Poly1._raw({k - 1: n for k, n in self._n.items()}, self._d)
 
     def shift_up(self, k: int = 1) -> "Poly1":
         """Multiply by c^k."""
-        if self.is_zero():
-            return self
-        return Poly1._raw((0,) * k + self._n, self._d)
+        return Poly1._raw({e + k: n for e, n in self._n.items()}, self._d)
 
     def evaluate(self, v):
         """Exact value at a rational v; otherwise Horner over the float
         coefficients."""
+        n, d = self._n, self._d
+        powers = range(self.degree(), -1, -1)
         if type(v) is not float and isinstance(v, Rational):
             p, q = v.numerator, v.denominator
             acc, qk = 0, 1
-            for x in reversed(self._n):
-                acc = acc * p + x * qk
+            for k in powers:
+                acc = acc * p + n.get(k, 0) * qk
                 qk *= q
-            return Fraction(acc * q, self._d * qk)
+            return Fraction(acc * q, d * qk)
         acc = 0 * v
-        for x in reversed(self._n):
-            acc = acc * v + x / self._d
+        for k in powers:
+            acc = acc * v + n.get(k, 0) / d
         return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self._d == other._d and self._n == other._n
-
-    def __hash__(self):
-        return hash((self._n, self._d))
 
     def __repr__(self):
         return f"Poly1({list(self.coeffs)!r})"
-
-
-def _canonical(nums: list[int], den: int):
-    """Strip trailing zeros and divide out the gcd with the denominator.
-
-    Tuples here and in Poly1 are built from lists, not generators: tuple() of
-    a generator starts at size 10 and resizes, which moves tuples between
-    the interpreter's per-size free lists until every one of them is full.
-    """
-    while nums and not nums[-1]:
-        nums.pop()
-    if not nums:
-        return (), 1
-    g = math.gcd(den, *nums)
-    if g != 1:
-        return tuple([x // g for x in nums]), den // g
-    return tuple(nums), den
 
 
 def _times_s2(p: Poly1) -> Poly1:
@@ -254,9 +152,13 @@ class TrigPoly(_Record):
         return self.even.is_zero() and self.odd.is_zero()
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
+        if other.__class__ is not TrigPoly:
+            return NotImplemented
         return TrigPoly(self.even + other.even, self.odd + other.odd)
 
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
+        if other.__class__ is not TrigPoly:
+            return NotImplemented
         return TrigPoly(self.even - other.even, self.odd - other.odd)
 
     def __neg__(self) -> "TrigPoly":
@@ -287,7 +189,8 @@ class TrigPoly(_Record):
 
     def norm1(self) -> Fraction:
         """Sum of |coefficients| of both parts: a bound on |f| at every theta."""
-        return sum(Fraction(sum(map(abs, p._n)), p._d) for p in (self.even, self.odd))
+        return sum(Fraction(sum(map(abs, p._n.values())), p._d)
+                   for p in (self.even, self.odd))
 
     def __repr__(self):
         return f"TrigPoly(even={list(self.even.coeffs)}, odd={list(self.odd.coeffs)})"

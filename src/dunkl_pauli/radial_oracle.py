@@ -185,37 +185,30 @@ class ComparisonRow(_Record):
 class SectorReport:
     """Oracle-vs-closed-form comparison for one sector and parameter set."""
 
-    def __init__(self, eps1: int, eps2: int, params: WignerParams, tolerance: float):
-        self.eps1, self.eps2, self.params, self.tolerance = eps1, eps2, params, tolerance
+    def __init__(self, eps1: int, eps2: int, params: WignerParams):
+        self.eps1, self.eps2, self.params = eps1, eps2, params
         self.rows: list[ComparisonRow] = []
-
-    @property
-    def worst(self) -> float:
-        return max((r.deviation for r in self.rows), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.worst <= self.tolerance
 
 
 # E/omega_c tolerance; the oracle's worst miss over nu in (-1/2, 2] is 2.7e-8
 ORACLE_TOLERANCE = 1e-7
 
 
-def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int,
-                     tolerance: float = ORACLE_TOLERANCE) -> list[SectorReport]:
+def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int
+                     ) -> list[SectorReport]:
     """One report per sector: oracle eigenvalues (oracle_energies) against
     the closed forms for every ell in ell_list, n <= n_max and both spins,
     from one solve per (eps, ell), shifted per row (module doc), on the
     positive lam branch, after checking n_max, every label and that ell_list
-    is not empty.  A mismatch above tolerance is reported, not raised."""
+    is not empty.  The rows are reported, not judged: the caller compares
+    each row's deviation with its own bound (verify: ORACLE_TOLERANCE)."""
     _check_integer("n_max", n_max, 0, 9)
     sectors = [tuple(sector) for sector in sectors]
     if bad := [sector for sector in sectors if sector not in SECTORS]:
         raise ValueError(f"sector labels must be +/-1, got {bad[0]}")
     if not (ells := [Fraction(ell) for ell in ell_list]):
         raise ValueError("ell_list must hold at least one ell")
-    reports = [SectorReport(*sector, params, tolerance) for sector in sectors]
+    reports = [SectorReport(*sector, params) for sector in sectors]
     nu1, nu2 = params.as_floats()
     for ell in ells:
         levels = {epsilon: oracle_energies(RadialProblem(
@@ -238,10 +231,11 @@ def validate_sector(sector: tuple[int, int], params: WignerParams,
                     scale: OscillatorScale, ell_list, n_max: int,
                     config: None = None,
                     tolerance: float = ORACLE_TOLERANCE) -> SectorReport:
-    """validate_sectors for one sector.  The rows are E/omega_c, which does
-    not depend on scale; that slot and config, the retired grid setting, are
-    kept so positional callers still work."""
+    """validate_sectors for one sector.  scale, config and tolerance are
+    unread slots kept for positional callers: the rows are E/omega_c, which
+    does not depend on scale, config is the retired grid setting (None
+    only), and the report carries no verdict."""
     if config is not None:
         raise TypeError("validate_sector takes no grid config; pass None")
-    [report] = validate_sectors([sector], params, ell_list, n_max, tolerance)
+    [report] = validate_sectors([sector], params, ell_list, n_max)
     return report

@@ -10,6 +10,7 @@ from dunkl_pauli.algebra import (ONE, X1, X2, BivarPoly, WignerParams,
                                  dunkl_derive, dunkl_laplacian,
                                  dunkl_laplacian_expanded, partial_derive,
                                  reflect)
+from dunkl_pauli.angular import Poly1, TrigPoly
 
 NU = WignerParams(F(2, 5), F(2, 5))
 
@@ -50,6 +51,44 @@ def test_bivar_poly_arithmetic_exact():
     assert q == X1 * X1 * X1 * X1 + 6 * (X1 * X1 * X2) + 9 * (X2 * X2)
     assert p - p == BivarPoly.zero()
     assert p.evaluate(F(1, 2), F(1, 3)) == F(1, 4) + 1
+
+
+MIXED_OPERANDS = [
+    # (operation, result or the exception it raises)
+    (lambda: BivarPoly.constant(1) + 1, BivarPoly.constant(2)),
+    (lambda: 1 + X1, X1 + ONE),
+    (lambda: X1 - F(1, 2), X1 + BivarPoly.constant(F(-1, 2))),
+    (lambda: F(1, 2) - X1, BivarPoly.constant(F(1, 2)) - X1),
+    (lambda: X1 + 0, X1),
+    (lambda: X1 + Poly1([1]), TypeError),
+    (lambda: Poly1([1]) + X1, TypeError),
+    (lambda: Poly1([1]) - ONE, TypeError),
+    (lambda: X1 * Poly1([1]), TypeError),
+    (lambda: Poly1([1]) * X1, TypeError),
+    (lambda: X1 + 0.5, TypeError),
+    (lambda: X1 - "1", TypeError),
+    (lambda: TrigPoly.one() + 1, TypeError),
+    (lambda: TrigPoly.one() - 1, TypeError),
+    (lambda: TrigPoly.one() + Poly1([1]), TypeError),
+    (lambda: 1 - TrigPoly.one(), TypeError),
+    (lambda: Poly1([1]) == BivarPoly.constant(1), False),
+    (lambda: BivarPoly.constant(1) == Poly1([1]), False),
+    (lambda: Poly1() == BivarPoly.zero(), False),
+    (lambda: Poly1([1]) == 1, False),
+]
+
+
+@pytest.mark.parametrize("operation, want", MIXED_OPERANDS,
+                         ids=[str(k) for k in range(len(MIXED_OPERANDS))])
+def test_arithmetic_takes_its_own_class_or_a_rational(operation, want):
+    # another polynomial class or a non-Rational gives NotImplemented, so
+    # Python raises TypeError instead of an AttributeError from inside
+    if want is TypeError:
+        with pytest.raises(TypeError):
+            operation()
+    else:
+        got = operation()
+        assert got == want and type(got) is type(want)
 
 
 def test_reflect_examples():

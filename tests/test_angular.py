@@ -65,13 +65,12 @@ def ref_of(values) -> dict:
 
 def checked(p: Poly1) -> dict:
     """p's coefficients as a reference dict, after asserting the canonical
-    form: positive denominator coprime to the integer numerators, no
-    trailing zero, denominator 1 for the zero polynomial."""
+    form: positive denominator coprime to the integer numerators, no stored
+    zero, denominator 1 for the zero polynomial."""
     nums, den = p._n, p._d
     assert type(den) is int and den > 0
-    assert all(type(n) is int for n in nums)
-    assert not nums or nums[-1] != 0
-    assert math.gcd(den, *nums) == 1
+    assert all(type(n) is int and n != 0 for n in nums.values())
+    assert math.gcd(den, *nums.values()) == 1
     assert nums or den == 1
     assert all(type(c) is F for c in p.coeffs)
     return {k: c for k, c in enumerate(p.coeffs) if c}
