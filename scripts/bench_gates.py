@@ -4,7 +4,8 @@
     python perfbench/run.py --workload verify --seed 1 --seconds 1 --trace 1 \\
         | python scripts/bench_gates.py verify 1
 
-The arguments are the workload and whether the run was traced (1 or 0).
+The arguments are the workload and whether the run was traced (1 or 0);
+the scan and verify gates read traced counts, so those two need a traced run.
 The last two lines of the run's stdout are its full record (every metric)
 and its result line.  Prints one summary line and exits 1 if the run is
 not correct or breaks a gate.
@@ -49,6 +50,9 @@ def check(workload: str, traced: bool, full: dict, last: dict) -> tuple[bool, li
         mismatches = full["metrics"]["pin_mismatches"]["value"]
         line += ["pin mismatches:", mismatches]
         ok = ok and mismatches == FIGURE_PIN_MISMATCHES
+    if workload in ("scan", "verify") and not traced:
+        # the solve gates read a traced count: an untraced record fails them
+        return False, line + ["needs --trace 1 for radial_oracle.solves"]
     if traced:
         solves = last["metrics"]["radial_oracle.solves"]["value"]
         line += ["oracle solves:", solves]

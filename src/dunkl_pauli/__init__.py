@@ -15,8 +15,8 @@ from .algebra import (BivarPoly, WignerParams, commutator_xD, dunkl_derive,
 from .angular import (AngularEigenpair, TrigPoly, angular_eigenpair,
                       angular_eigenpairs, apply_B, apply_G, jacobi, lambda_value)
 from .spectrum import (OscillatorScale, SectorState, energy,
-                       energy_over_omega_c, eta, hyp1f1, radial_wavefunction,
-                       radical_identity_check, rho)
+                       energy_over_omega_c, eta, hyp1f1, radical_identity_check,
+                       rho)
 
 __version__ = "0.1.0"
 
@@ -41,8 +41,8 @@ __all__ = [
     "dunkl_derive", "dunkl_laplacian", "energy", "energy_over_omega_c",
     "entropy", "eta", "heat_capacity", "helmholtz", "hyp1f1",
     "internal_energy", "jacobi", "lambda_value", "lowest_eigenvalues",
-    "partition", "radial_wavefunction", "radical_identity_check", "reflect",
-    "rho", "sweep", "sweeps", "validate_sector",
+    "partition", "radical_identity_check", "reflect", "rho", "sweep",
+    "sweeps", "validate_sector",
 ]
 
 

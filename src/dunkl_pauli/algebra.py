@@ -226,14 +226,6 @@ class BivarPoly(_Poly):
     def monomial(cls, i: int, j: int, c=1) -> "BivarPoly":
         return cls({(i, j): Fraction(c)})
 
-    def total_degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        return max((i + j for i, j in self._n), default=0)
-
-    def evaluate(self, x1, x2):
-        return sum((c * x1**i * x2**j for (i, j), c in self.coeffs.items()),
-                   start=Fraction(0) * x1)
-
     def __repr__(self) -> str:
         if not self._n:
             return "BivarPoly(0)"
@@ -267,12 +259,6 @@ def _lower(p: BivarPoly, axis: int, factor) -> dict[tuple[int, int], int]:
         if e:
             out[(i - 1, j) if axis == 1 else (i, j - 1)] = n * factor(e)
     return out
-
-
-def partial_derive(p: BivarPoly, axis: int) -> BivarPoly:
-    """Plain partial derivative with respect to x_axis."""
-    _check_axis(axis)
-    return BivarPoly._make(_lower(p, axis, lambda e: e), p._d)
 
 
 def dunkl_derive(p: BivarPoly, axis: int, params: WignerParams) -> BivarPoly:

@@ -12,7 +12,7 @@ divisions.
 
 A Poly1 is a polynomial in c on algebra's exact kernel (_Poly), so equality
 is exact rational equality and the operator identities hold with zero
-tolerance; float evaluation uses the correctly rounded n/den.
+tolerance.
 
 Eigenfunctions for the eigenvalue lam of i*G are built per parity eps of
 R1R2 (G commutes with R1R2, not with R1 or R2) from a two-dimensional
@@ -38,9 +38,7 @@ from .algebra import BivarPoly, WignerParams, _Poly, _Record
 class Poly1(_Poly):
     """Exact univariate polynomial in ascending powers of c: the _Poly
     canonical form keyed by the exponent k.  Its coefficients are handed
-    out densely; float evaluation uses the coefficients n/den, and int/int
-    true division is correctly rounded, so they equal float(Fraction(n, den)).
-    """
+    out densely."""
 
     __slots__ = ()
     _ONE = 0
@@ -101,23 +99,6 @@ class Poly1(_Poly):
         """Multiply by c^k."""
         return Poly1._raw({e + k: n for e, n in self._n.items()}, self._d)
 
-    def evaluate(self, v):
-        """Exact value at a rational v; otherwise Horner over the float
-        coefficients."""
-        n, d = self._n, self._d
-        powers = range(self.degree(), -1, -1)
-        if type(v) is not float and isinstance(v, Rational):
-            p, q = v.numerator, v.denominator
-            acc, qk = 0, 1
-            for k in powers:
-                acc = acc * p + n.get(k, 0) * qk
-                qk *= q
-            return Fraction(acc * q, d * qk)
-        acc = 0 * v
-        for k in powers:
-            acc = acc * v + n.get(k, 0) / d
-        return acc
-
     def __repr__(self):
         return f"Poly1({list(self.coeffs)!r})"
 
@@ -140,14 +121,6 @@ class TrigPoly(_Record):
     def one(cls) -> "TrigPoly":
         return cls(Poly1.one(), Poly1())
 
-    @classmethod
-    def cos(cls) -> "TrigPoly":
-        return cls(Poly1.x(), Poly1())
-
-    @classmethod
-    def sin(cls) -> "TrigPoly":
-        return cls(Poly1(), Poly1.one())
-
     def is_zero(self) -> bool:
         return self.even.is_zero() and self.odd.is_zero()
 
@@ -167,11 +140,7 @@ class TrigPoly(_Record):
     def __mul__(self, other):
         if isinstance(other, Rational):
             return TrigPoly(self.even * other, self.odd * other)
-        if not isinstance(other, TrigPoly):
-            return NotImplemented
-        # s^2 reduces to 1 - c^2
-        return TrigPoly(self.even * other.even + _times_s2(self.odd * other.odd),
-                        self.even * other.odd + other.even * self.odd)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -182,10 +151,6 @@ class TrigPoly(_Record):
     def derivative(self) -> "TrigPoly":
         a, b = self.even, self.odd
         return TrigPoly(b.shift_up() - _times_s2(b.derivative()), -a.derivative())
-
-    def evaluate(self, theta: float):
-        c = math.cos(theta)
-        return self.even.evaluate(c) + math.sin(theta) * self.odd.evaluate(c)
 
     def norm1(self) -> Fraction:
         """Sum of |coefficients| of both parts: a bound on |f| at every theta."""
@@ -389,9 +354,6 @@ class AngularEigenpair(_Record):
                  is_constant_mode: bool = False):
         self._set(epsilon, ell, branch, lam, basis, restriction, weights, params,
                   is_constant_mode)
-
-    def eigenfunction(self, theta: float) -> complex:
-        return sum(w * f.evaluate(theta) for w, f in zip(self.weights, self.basis))
 
 
 def angular_eigenpairs(ell, epsilon: int, params: WignerParams

@@ -176,48 +176,3 @@ def hyp1f1(a: float, b: float, x: float) -> float:
         d = (k * d - x * m) / (b + k)
         m += d
     return m
-
-
-def _radial_parameters(state: SectorState,
-                       params: WignerParams) -> tuple[float, float]:
-    """The Frobenius power p = K - (nu1 + nu2) and the Kummer b = 1 + K of the
-    radial factor, K = |2 ell + nu1 + nu2|, each correctly rounded (p = 2 ell
-    on published ells).  K is kappa = sqrt(D^2 + lam^2) by the radical
-    identity, checked exactly by radical_identity_check: ArithmeticError if not.
-    """
-    lhs, rhs = radical_identity_check(state.ell, state.epsilon, params)
-    if lhs != rhs:
-        raise ArithmeticError(f"D^2 + lam^2 != (2 ell + nu1 + nu2)^2 for {state}")
-    s = params.nu1 + params.nu2
-    k = abs(2 * state.ell + s)
-    return float(k - s), float(1 + k)
-
-
-def radial_wavefunction(state: SectorState, params: WignerParams, r: float) -> float:
-    """Radial factor exp(-x/2) r^p M(-n, b, x) with x = r^2/2, r in units
-    1/sqrt(m omega_c); multiply by radial_norm_constant to normalize.
-
-    p is the regular Frobenius power at r = 0 and b = 1 + K (see
-    _radial_parameters); M(-n, b, x) is the Laguerre polynomial
-    n!/(b)_n L_n^(b-1)(x) (DLMF 13.6).
-    """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    power, b = _radial_parameters(state, params)
-    return (math.exp(-0.25 * r * r) * r ** power
-            * hyp1f1(float(-state.n), b, 0.5 * r * r))
-
-
-def radial_norm_constant(state: SectorState, params: WignerParams) -> float:
-    """Normalization constant 1/sqrt(T) against the measure r^(1+2nu1+2nu2) dr,
-    r in units 1/sqrt(m omega_c).
-
-    T = 1/2 2^b n! Gamma(b)^2 / Gamma(b + n) is the norm integral of
-    radial_wavefunction: Laguerre orthogonality (DLMF 18.3) after the
-    substitution x = r^2/2 and M(-n, b, x) = n!/(b)_n L_n^(b-1)(x).
-    """
-    b = _radial_parameters(state, params)[1]
-    n = state.n
-    log_t = (b * math.log(2.0) - math.log(2.0)
-             + math.lgamma(n + 1) + 2.0 * math.lgamma(b) - math.lgamma(b + n))
-    return math.exp(-0.5 * log_t)

@@ -64,6 +64,14 @@ def test_a_record_that_breaks_one_gate_fails(case):
     assert run(workload, trace, **broken) == 1
 
 
+@pytest.mark.parametrize("workload", ["scan", "verify"])
+def test_an_untraced_solve_gated_record_fails_by_name(workload, capsys):
+    # the solve gates need the traced count, so such a record fails closed
+    assert run(workload, "0") == 1
+    assert capsys.readouterr().out == (
+        f"{workload} correct: True needs --trace 1 for radial_oracle.solves\n")
+
+
 def test_the_bounds_are_the_derived_counts():
     assert (gates.FIGURE_PIN_MISMATCHES, gates.SCAN_SOLVES) == (0, 12 * 4 * 2 * 3)
     assert gates.VERIFY_APPLY_G_CALLS == 300 + 2 * 250 + 27

@@ -1,22 +1,15 @@
-import math
-import random
 from fractions import Fraction as F
 
 import mpmath
-import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_pauli import spectrum
 from dunkl_pauli.algebra import WignerParams
-from dunkl_pauli.angular import lambda_value
 from dunkl_pauli.spectrum import (OscillatorScale, SectorState, energy,
                                   energy_over_omega_c, energy_sector_form,
-                                  eta, hyp1f1, radial_norm_constant,
-                                  radial_wavefunction,
-                                  radical_identity_check, rho)
+                                  eta, hyp1f1, radical_identity_check, rho)
 
 NU0 = WignerParams(0, 0)
 NU44 = WignerParams(F(2, 5), F(2, 5))
@@ -212,174 +205,3 @@ def test_hyp1f1_rejects_non_terminating_parameters():
                  (-2.0, 0.0), (-1.0, -2.0), (-2.0, -0.5)):
         with pytest.raises(ValueError):
             hyp1f1(a, b, 1.0)
-
-
-# ---------------------------------------------------------------- wavefunction
-
-def test_wavefunction_at_origin():
-    # the ell = 0 mode with nu1 + nu2 >= 0 has Frobenius power exactly 0, so
-    # its radial factor at r = 0 is 1: r^0 = 1 and M(-n, b, 0) = 1
-    for nu in ((0, 0), (F(1, 10), F(1, 5)), (F(3, 10), 0), (F(7, 5), F(21, 50)),
-               (F(11, 10), F(4, 25))):
-        params = WignerParams(*nu)
-        for eps in (1, -1):
-            for n in range(3):
-                state = SectorState(eps, eps, n, 0, 1)
-                assert radial_wavefunction(state, params, 0.0) == 1.0, state
-
-
-def test_wavefunction_decays():
-    state = SectorState(1, 1, 1, 1, 1)
-    assert abs(radial_wavefunction(state, NU44, 12.0)) < 1e-12
-    with pytest.raises(ValueError):
-        radial_wavefunction(state, NU44, -0.5)
-
-
-def test_wavefunction_node_count():
-    # n = 1 state has exactly one radial node in (0, inf)
-    state = SectorState(1, -1, 1, F(1, 2), -1)
-    grid = np.linspace(1e-3, 10.0, 4000)
-    vals = [radial_wavefunction(state, NU4m4, r) for r in grid]
-    signs = np.sign(vals)
-    flips = int(np.sum(signs[1:] * signs[:-1] < 0))
-    assert flips == 1
-
-
-@pytest.mark.parametrize("eps1,eps2,ell,n,m_s,params", [
-    (1, 1, F(1), 0, 1, NU44),
-    (1, 1, F(2), 2, -1, NU0),
-    (-1, -1, F(1), 1, 1, NU44),
-    (1, -1, F(1, 2), 1, -1, NU4m4),
-    (-1, 1, F(3, 2), 2, 1, WignerParams(F(-2, 5), F(2, 5))),
-    # ell = 0 with nu1 + nu2 < 0: the Frobenius power kappa - (nu1 + nu2) is
-    # not 2 ell here
-    *[(eps, eps, F(0), n, m_s, WignerParams(F(-2, 5), F(-1, 5)))
-      for eps in (1, -1) for n, m_s in ((0, 1), (1, -1), (2, 1))],
-])
-def test_wavefunction_solves_radial_ode(eps1, eps2, ell, n, m_s, params):
-    # residual of the sector radial equation via high-order finite differences
-    state = SectorState(eps1, eps2, n, ell, m_s)
-    nu1, nu2 = params.as_floats()
-    lam = lambda_value(state.ell, state.epsilon, state.branch, params)
-    centrifugal = lam * lam - (4 * nu1 * nu2 if state.epsilon == -1 else 0.0)
-    e_over_w = energy_over_omega_c(state, params)
-    zeeman = m_s * (1 + nu1 * eps1 + nu2 * eps2)  # in units m = omega_c = 1
-
-    def f(r):
-        return radial_wavefunction(state, params, r)
-
-    h = 1e-3
-    worst = 0.0
-    for r in np.linspace(0.1, 5.0, 60):
-        stencil = [f(r + k * h) for k in (-2, -1, 0, 1, 2)]
-        d1 = (stencil[0] - 8 * stencil[1] + 8 * stencil[3] - stencil[4]) / (12 * h)
-        d2 = (-stencil[0] + 16 * stencil[1] - 30 * stencil[2]
-              + 16 * stencil[3] - stencil[4]) / (12 * h * h)
-        terms = [d2,
-                 (1 + 2 * nu1 + 2 * nu2) / r * d1,
-                 -0.25 * r * r * stencil[2],
-                 -centrifugal / (r * r) * stencil[2],
-                 -lam * stencil[2],
-                 zeeman * stencil[2],
-                 2 * e_over_w * stencil[2]]
-        residual = abs(sum(terms))
-        scale_ref = max(abs(t) for t in terms)
-        if scale_ref > 1e-12:
-            worst = max(worst, residual / scale_ref)
-    assert worst <= 1e-6
-
-
-def test_normalization_quadrature():
-    # after scaling, the norm integral against r^(1+2nu1+2nu2) dr is 1,
-    # checked by quadrature independently of the closed-form norm
-    from scipy.integrate import quad
-    cases = [((1, 1), F(1), NU44),
-             ((1, 1), F(0), WignerParams(F(-2, 5), F(-1, 5))),
-             ((1, -1), F(1, 2), NU4m4),
-             ((-1, 1), F(3, 2), WignerParams(F(-2, 5), F(1, 5)))]
-    for (eps1, eps2), ell, params in cases:
-        weight = 1 + 2 * float(params.nu1 + params.nu2)
-        for n in range(4):
-            state = SectorState(eps1, eps2, n, ell, 1)
-            c = radial_norm_constant(state, params)
-
-            def integrand(r):
-                v = c * radial_wavefunction(state, params, r)
-                return v * v * r ** weight
-
-            total, _ = quad(integrand, 0, 25, limit=300)
-            assert total == pytest.approx(1.0, rel=1e-9), state
-
-
-def test_wavefunction_terminates_when_computed_a_is_an_ulp_off():
-    # the energy's hypergeometric a, computed in floats, is -2.2e-16 here
-    # instead of -n = 0; the radial factor takes -n from the state, so it is
-    # the n = 0 polynomial times the Gaussian
-    state = SectorState(-1, 1, 0, F(1, 2), -1)
-    params = WignerParams(F(-2, 5), F(-1, 5))
-    radii = (1.0, 5.0, 10.0, 20.0, 40.0)
-    vals = [radial_wavefunction(state, params, r) for r in radii]
-    assert all(math.isfinite(v) and v > 0 for v in vals)
-    assert vals[1:] == sorted(vals[1:], reverse=True)
-    for r, v in zip(radii, vals):  # n = 0: exp(-r^2/4) r^(2 ell), ell = 1/2
-        assert v == pytest.approx(math.exp(-0.25 * r * r) * r, rel=1e-13)
-    c = radial_norm_constant(state, params)
-    assert math.isfinite(c) and c > 0
-
-
-def test_radial_parameters_are_the_rounded_exact_values():
-    # p = K - (nu1 + nu2) and b = 1 + K with K = |2 ell + nu1 + nu2|, each the
-    # correctly rounded double of its rational value
-    rng = random.Random(14)
-    nus = [(F(2, 5), F(-2, 5)), (F(-2, 5), F(2, 5)), (F(-2, 5), F(-1, 5)),
-           (F(-1, 2) + F(1, 10**9), F(-1, 2) + F(1, 10**12))]
-    for den in (7, 100, 10**6 + 3, 2**61 - 1):
-        nus += [(F(rng.randrange(-den // 2 + 1, 3 * den), den),
-                 F(rng.randrange(-den // 2 + 1, 3 * den), den)) for _ in range(6)]
-    for nu in nus:
-        params = WignerParams(*nu)
-        for eps1, eps2 in SECTORS:
-            first = F(0) if eps1 == eps2 else F(1, 2)
-            ells = [first, first + 1, first + 2, first + rng.randrange(10**6)]
-            for ell in ells:
-                n = rng.randrange(4)
-                state = SectorState(eps1, eps2, n, ell, 1)
-                k = abs(2 * ell + params.nu1 + params.nu2)
-                p, b = k - params.nu1 - params.nu2, 1 + k
-                assert spectrum._radial_parameters(state, params) == (float(p), float(b)), \
-                    (state, nu)
-                if ell < 100:  # r^p overflows a float at r = 2 far beyond
-                    assert radial_wavefunction(state, params, 2.0) == (
-                        math.exp(-1.0) * 2.0 ** float(p) * hyp1f1(-n, float(b), 2.0))
-
-
-def test_radial_factor_rejects_a_broken_radical_identity(monkeypatch):
-    # D^2 + lam^2 = (2 ell + nu1 + nu2)^2 is checked exactly; a radicand one
-    # unit off breaks it
-    exact = spectrum.lambda_radicand
-    monkeypatch.setattr(spectrum, "lambda_radicand",
-                        lambda ell, eps, params: exact(ell, eps, params) + 1)
-    with pytest.raises(ArithmeticError):
-        radial_wavefunction(SectorState(1, 1, 1, 1, 1), NU44, 1.0)
-    with pytest.raises(ArithmeticError):
-        radial_norm_constant(SectorState(1, 1, 1, 1, 1), NU44)
-
-
-def test_radial_values_near_kappa_rounding_match_mpmath():
-    # at nu = (+-2/5, -+2/5), odd sectors, ell = 3/2, the float
-    # sqrt(D^2 + lam^2) rounds 1 ulp away from K = 3; with the exact p = 3
-    # and b = 4 every value is within 3 ulps of a 60-digit reference (the
-    # slack is for libm exp and pow)
-    with mpmath.workdps(60):
-        for nu in ((F(2, 5), F(-2, 5)), (F(-2, 5), F(2, 5))):
-            params = WignerParams(*nu)
-            for eps1, eps2 in ((1, -1), (-1, 1)):
-                for n in range(3):
-                    state = SectorState(eps1, eps2, n, F(3, 2), 1)
-                    for r in (0.3, 1.0, 2.5, 7.0):
-                        x = mpmath.mpf(r)
-                        want = (mpmath.exp(-x * x / 4) * x**3
-                                * mpmath.hyp1f1(-n, 4, x * x / 2))
-                        got = radial_wavefunction(state, params, r)
-                        ulps = abs(mpmath.mpf(got) - want) / math.ulp(float(want))
-                        assert ulps <= 3, (state, nu, r, float(ulps))

@@ -8,6 +8,7 @@ from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.angular import AngularEigenpair, TrigPoly
 from dunkl_pauli.spectrum import lowest_ells
 from dunkl_pauli.verify import SuiteResult
+from test_angular import at
 
 PINNED_REPORT = Path(__file__).parent / "data" / "verify_report.txt"
 
@@ -128,7 +129,7 @@ def test_the_residual_bound_covers_the_exact_residual_at_sampled_angles():
                     g, r, i = angular.apply_G(f, params), F(w.real), F(w.imag)
                     re, im = re + g * r - f * (lam * i), im + g * i + f * (lam * r)
                 for c, s in angles:
-                    x, y = (p.even.evaluate(c) + s * p.odd.evaluate(c) for p in (re, im))
+                    x, y = (at(p.even, c) + s * at(p.odd, c) for p in (re, im))
                     assert x * x + y * y <= bound * bound, (ell, epsilon, params)
                 cases += 1
     assert cases == 250
