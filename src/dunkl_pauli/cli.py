@@ -190,14 +190,14 @@ def _rows(taus) -> str:
     return "".join(f"{_fmt(t)},%.17g\n" for t in taus)
 
 
-def _thermo_csv(args: argparse.Namespace, curve, ladder, rows: str) -> str:
-    """The CSV of one ladder's finished curve; ``rows`` is ``_rows`` of its
-    grid."""
+def _thermo_csv(args: argparse.Namespace, quantity: str, ladder, data: str) -> str:
+    """The CSV of one ladder's curve of ``quantity``; ``data`` is its rows,
+    ``_rows`` of its grid filled with the curve's values."""
     sector, params, ell, rh, et = ladder
     nu1, nu2 = params.as_floats()
     lines = [
         "# dunkl-pauli thermo sweep",
-        f"# quantity = {curve.quantity}",
+        f"# quantity = {quantity}",
         f"# mode = {args.mode}",
         f"# sector = {_sector_name(sector)}",
         f"# nu1 = {_fmt(nu1)}",
@@ -208,7 +208,7 @@ def _thermo_csv(args: argparse.Namespace, curve, ladder, rows: str) -> str:
         f"# eta = {_fmt(et)}",
         "tau,value",
     ]
-    return "\n".join(lines) + "\n" + rows % curve.values
+    return "\n".join(lines) + "\n" + data
 
 
 def cmd_thermo(args: argparse.Namespace) -> int:
@@ -217,7 +217,8 @@ def cmd_thermo(args: argparse.Namespace) -> int:
         ell = lowest_ells(sector[0] * sector[1], 1)[0]
     ladder = (sector, params, ell, *_ladder(sector, params, ell, args.sign))
     [curve] = _sweeps(args, args.quantity, [ladder])
-    _write_text(args.out, _thermo_csv(args, curve, ladder, _rows(args.taus)))
+    _write_text(args.out, _thermo_csv(args, args.quantity, ladder,
+                                      _rows(args.taus) % curve.values))
     return 0
 
 
@@ -271,6 +272,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
               "out": args.out}
     provenance = _provenance()
     rows = _rows(args.taus)
+    # the thermo kernel reads only (rho, |eta|) of a ladder: each distinct
+    # one is evaluated in the first panel that shows it and formatted once
+    data = {}
     files = {}
     for panel, curves in panels.items():
         manifest = {
@@ -280,11 +284,18 @@ def cmd_figure(args: argparse.Namespace) -> int:
             "provenance": provenance,
             "curves": [],
         }
-        ladders = [ladder for _, ladder in curves]
-        for (label, ladder), curve in zip(curves, _sweeps(args, quantity, ladders)):
+        keys = [(rh, abs(et)) for _, (*_, rh, et) in curves]
+        fresh = {}
+        for key, (_, ladder) in zip(keys, curves):
+            if key not in data:
+                fresh.setdefault(key, ladder)
+        if fresh:
+            swept = _sweeps(args, quantity, list(fresh.values()))
+            data.update((key, rows % c.values) for key, c in zip(fresh, swept))
+        for key, (label, ladder) in zip(keys, curves):
             sector, params, ell, rh, et = ladder
             fname = f"fig{args.fig_num}{panel}_{quantity}_{label}.csv"
-            files[fname] = _thermo_csv(args, curve, ladder, rows)
+            files[fname] = _thermo_csv(args, quantity, ladder, data[key])
             nu1, nu2 = params.as_floats()
             manifest["curves"].append({
                 "file": fname,

@@ -214,9 +214,10 @@ def sweeps(quantity: str, templates, tau_grid) -> list[ThermoCurve]:
     Each value is the correctly rounded (round-to-nearest) double of the
     quantity's closed form above at x = 1.0/tau (the float division), rho
     and eta: the value the scalar function gives at that x, and the same on
-    every IEEE-754 platform.  One ``round_curve`` call, one per figure
-    panel, takes x as a row and (rho, |eta|) as a column of the templates,
-    so that a factor of x alone is computed once per temperature.
+    every IEEE-754 platform.  One ``round_curve`` call (``figure`` makes
+    one per panel, over the ladders that no earlier panel of the layout
+    evaluated) takes x as a row and (rho, |eta|) as a column of the
+    templates, so that a factor of x alone is computed once per temperature.
     ``log_grid`` gives the matching grid.  Raises ValueError for templates
     of more than one mode or none, for temperatures that are not positive
     and finite or whose 1/tau overflows (subnormal ones), and (far outside

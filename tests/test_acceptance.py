@@ -188,7 +188,7 @@ def test_criterion_09_figure_properties_and_regression(tmp_path, fallbacks):
         assert cli.main(["figure", "--figure", str(fig),
                          "--out", str(tmp_path)]) == 0
     # every value takes the fast test first; this bound may only fall
-    assert len(fallbacks) <= 42
+    assert len(fallbacks) <= 29
 
     def values(path):
         rows = [ln for ln in path.read_text().strip().split("\n")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import dunkl_pauli
+from dunkl_pauli import cli, thermo
 from dunkl_pauli.algebra import WignerParams
 from dunkl_pauli.cli import _fmt, _rows, _thermo_csv, main
 from dunkl_pauli.rounding import _COLD, _SHORT
@@ -148,8 +149,8 @@ def test_thermo_csv_rows_format_each_value_as_17_digits():
     values = (-0.0, 5e-324, 1e-300, 0.1, 1e300, float(2 ** 60))
     curve = ThermoCurve("U", taus, values, ThermoInputs(1.0, 0.5, 0.25))
     ladder = ((1, 1), WignerParams(0, 0), 0, 0.5, 0.25)
-    text = _thermo_csv(SimpleNamespace(mode="consistent", sign=1), curve,
-                       ladder, _rows(taus))
+    text = _thermo_csv(SimpleNamespace(mode="consistent", sign=1), curve.quantity,
+                       ladder, _rows(taus) % curve.values)
     header, rows = text.split("tau,value\n")
     assert header.startswith("# dunkl-pauli thermo sweep\n")
     assert rows.split("\n") == [f"{_fmt(t)},{v:.17g}"
@@ -204,6 +205,50 @@ def test_figure_antidiagonal_curves_match_undeformed(tmp_path, capsys):
     for sector_file in ("pp", "mm"):
         text = (tmp_path / f"fig2b_Z_sector_{sector_file}.csv").read_text()
         assert [r["value"] for r in csv_rows(text)] == z0
+
+
+@pytest.mark.parametrize("mode", ["consistent", "paper-faithful"])
+def test_figure_evaluates_each_distinct_ladder_once(tmp_path, capsys,
+                                                    monkeypatch, mode):
+    # the thermo kernel reads only (rho, |eta|): of the 36 ladders of an odd
+    # layout 18 differ, of the 16 of an even one 9
+    calls = []
+    real = thermo.sweeps
+
+    def counted(quantity, templates, taus):
+        calls.append(len(templates))
+        return real(quantity, templates, taus)
+
+    monkeypatch.setattr(thermo, "sweeps", counted)
+    rows = {}
+    for fig in range(1, 9):
+        calls.clear()
+        assert run(capsys, "figure", "--figure", str(fig), "--mode", mode,
+                   "--steps", "8", "--out", str(tmp_path))[0] == 0
+        rows[fig] = sum(calls)
+        # no call holds more ladders than the panel shows
+        assert len(calls) <= 4 and max(calls) <= (9 if fig % 2 else 4)
+    assert rows == {fig: 18 if fig % 2 else 9 for fig in range(1, 9)}
+    assert sum(rows.values()) == 108
+
+
+def test_figure_csvs_sharing_a_curve_keep_their_own_headers(
+        tmp_path, capsys, monkeypatch):
+    # eta is signed and the kernel reads |eta|; the figure layouts give no
+    # opposite pair (every |nu| <= 0.4), so the -- sector's eta is negated:
+    # in panel 2b, ++ and -- are then (rho, 0.5) and (rho, -0.5)
+    real = cli.eta
+    monkeypatch.setattr(cli, "eta", lambda eps1, eps2, params: (
+        -real(eps1, eps2, params) if eps1 == eps2 == -1 else
+        real(eps1, eps2, params)))
+    assert run(capsys, "figure", "--figure", "2b", "--steps", "8",
+               "--out", str(tmp_path))[0] == 0
+    pp, mm = ((tmp_path / f"fig2b_Z_sector_{code}.csv").read_text().split(
+        "tau,value\n") for code in ("pp", "mm"))
+    assert pp[1] == mm[1]
+    assert "# sector = ++\n" in pp[0] and "# eta = 0.5\n" in pp[0]
+    assert "# sector = --\n" in mm[0] and "# eta = -0.5\n" in mm[0]
+    assert pp[0].replace("++", "--").replace("0.5\n", "-0.5\n") == mm[0]
 
 
 def test_figure_all_panels_when_letter_omitted(tmp_path, capsys):
@@ -413,20 +458,26 @@ def test_a_grid_whose_rounded_points_repeat_is_named(capsys, argv):
     assert "temperature grid" in err and "repeats" in err and "ladder" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    (*_THERMO, "--steps", "4", "--ell", "1e150"),
-    (*_FIGURE, "--steps", "4", "--ell", "1e150"),
+@pytest.mark.parametrize("argv, eta", [
+    ((*_THERMO, "--steps", "4", "--ell", "1e150"), "0.5"),
+    ((*_FIGURE, "--steps", "4", "--ell", "1e150"), "0.9"),
     # one vectorised evaluation of the panel's four ladders: only the two
     # even sectors (the first two) take the integer ell, and the odd ones
     # evaluate normally; a half-odd ell fails in the last two instead
-    (*_FIGURE, "--steps", "400", "--ell", "1e150"),
-    (*_FIGURE, "--steps", "400", "--ell", f"{2 * 10 ** 150 + 1}/2"),
-], ids=["thermo", "figure", "figure-batched", "figure-batched-odd"])
-def test_a_ladder_the_thermo_kernel_cannot_evaluate_is_named(tmp_path, capsys, argv):
+    ((*_FIGURE, "--steps", "400", "--ell", "1e150"), "0.9"),
+    ((*_FIGURE, "--steps", "400", "--ell", f"{2 * 10 ** 150 + 1}/2"), "0.5"),
+    # panels b and c each repeat a ++/-- ladder, evaluated once: the error
+    # names the layout's first ladder, the ++ of panel a
+    (("figure", "--figure", "2", "--ell", "1e150"), "0.9"),
+], ids=["thermo", "figure", "figure-batched", "figure-batched-odd",
+        "figure-recurring"])
+def test_a_ladder_the_thermo_kernel_cannot_evaluate_is_named(
+        tmp_path, capsys, argv, eta):
     out = tmp_path / "out"
     code, stdout, err = run(capsys, *argv, "--out", str(out))
     assert code == 2
     assert "ell = 1e+150" in err and "rho = 2e+150" in err
+    assert f"eta = {eta})" in err
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 

@@ -245,7 +245,7 @@ def test_paper_faithful_bundle_matches_its_pins(tmp_path, fallbacks):
         assert cli_main(["figure", "--figure", str(fig), "--mode",
                          "paper-faithful", "--out", str(tmp_path)]) == 0
     # every value takes the fast test first; these bounds may only fall
-    assert len(fallbacks) <= 176
+    assert len(fallbacks) <= 126
     pinned = json.loads((ROOT / "tests" / "data" /
                          "figure_checksums_paper_faithful.json").read_text())
     produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
