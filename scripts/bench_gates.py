@@ -18,12 +18,13 @@ import sys
 # match its pinned checksum here
 FIGURE_PIN_MISMATCHES = 0
 
-# per scan pass, whatever the seed: 12 nu pairs x 4 sectors x 2 ells, one
-# validate_sector call per sector, each operator solved on the grids of
-# steps h, h/2 and h/4 (12 x 4 x 2 x 3 = 288); the predicted brackets, the
+# per scan pass, whatever the seed: 12 nu pairs x 2 parities x 2 ells, one
+# validate_sector call per sector, the second sector of each parity served
+# by the oracle's one-entry memo, each operator solved on the grids of
+# steps h, h/2 and h/4 (12 x 2 x 2 x 3 = 144); the predicted brackets, the
 # count and the fallback of the finest grid all run inside its one solve,
 # so an extra solve of any grid breaks the gate
-SCAN_SOLVES = 288
+SCAN_SOLVES = 144
 
 # per verify pass: apply_G runs 827 times (300 in the identity checks, 500
 # for one G image per basis function of each of the 250 (nu, parity, ell)

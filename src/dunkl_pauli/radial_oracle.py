@@ -38,6 +38,7 @@ R1 or R2.  A sector and spin add the Zeeman term -m_s (1 + nu1 eps1 + nu2
 eps2) to V, a constant that shifts each level by half of it: validate_sectors
 solves once per (eps, ell) and adds the shift per (sector, spin) row, so the
 oracle checks the closed-form rho; eta enters both sides as one constant.
+Consecutive calls for one parity's two sectors share it (a one-entry memo).
 
 Each grid after the first bisects (vl, vu] built from the grid before it.
 vl is the potential's floor lam less a margin of 1: the matrix less
@@ -57,6 +58,7 @@ and nothing assumes an h^2 fall of the error, which limit-circle rows lack.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from numbers import Integral
@@ -126,13 +128,17 @@ def lowest_eigenvalues(matrix, k: int, bracket=None, predicted=None):
     LinAlgError.  Predicted (centres, half-widths) give one level each if the
     count proof (module doc) holds above vl of the bracket (vl, vu]; else its
     first k levels if k > 1 and it holds k; else the full range's.  A bracket
-    without vl < vu (a NaN end too) raises ValueError."""
+    without vl < vu (a NaN end too), predicted without a bracket and a
+    half-width <= 0 raise ValueError; a NaN or infinite one falls back."""
     diag, off = (np.asarray(a, dtype=float) for a in matrix)
     _check_integer("k", k, 1, min(10, len(diag)))
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("the matrix entries must be finite")
     if bracket is not None and not bracket[0] < bracket[1]:
         raise ValueError(f"bracket must have vl < vu, got ({bracket[0]}, {bracket[1]})")
+    if predicted is not None and (bracket is None or any(predicted[1] <= 0)):
+        raise ValueError("predicted needs a bracket and half-widths > 0, got "
+                         f"bracket={bracket}, half-widths={predicted[1]}")
     e = off if len(diag) > 1 else np.zeros(1)  # dstebz takes one e at n = 1
 
     def stebz(select, vl=0.0, vu=0.0, tol=1e-13):  # 1: (vl, vu]; 2: 1..k
@@ -194,36 +200,45 @@ class SectorReport:
 ORACLE_TOLERANCE = 1e-7
 
 
+@functools.lru_cache(maxsize=1)
+def _parity_levels(params: WignerParams, epsilon: int, ells, n_max: int):
+    """oracle_energies of parity epsilon at each ell, as tuples; the memo
+    holds the last call only (module doc)."""
+    return tuple(tuple(oracle_energies(RadialProblem(lambda_value(
+        ell, epsilon, 1, params), epsilon, params), n_max).tolist())
+        for ell in ells)
+
+
 def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int
                      ) -> list[SectorReport]:
     """One report per sector: oracle eigenvalues (oracle_energies) against
     the closed forms for every ell in ell_list, n <= n_max and both spins,
     from one solve per (eps, ell), shifted per row (module doc), on the
     positive lam branch, after checking n_max, every label and that ell_list
-    is not empty.  The rows are reported, not judged: the caller compares
-    each row's deviation with its own bound (verify: ORACLE_TOLERANCE)."""
+    is not empty.  A call that follows one for the same parity, params,
+    ells and n_max reuses its solves (a one-entry memo).  The rows are
+    reported, not judged: the caller compares each row's deviation with
+    its own bound (verify: ORACLE_TOLERANCE)."""
     _check_integer("n_max", n_max, 0, 9)
     sectors = [tuple(sector) for sector in sectors]
     if bad := [sector for sector in sectors if sector not in SECTORS]:
         raise ValueError(f"sector labels must be +/-1, got {bad[0]}")
-    if not (ells := [Fraction(ell) for ell in ell_list]):
+    if not (ells := tuple(Fraction(ell) for ell in ell_list)):
         raise ValueError("ell_list must hold at least one ell")
     reports = [SectorReport(*sector, params) for sector in sectors]
     nu1, nu2 = params.as_floats()
-    for ell in ells:
-        levels = {epsilon: oracle_energies(RadialProblem(
-            lambda_value(ell, epsilon, 1, params), epsilon, params), n_max)
-            for epsilon in dict.fromkeys(r.eps1 * r.eps2 for r in reports)}
+    levels = {epsilon: _parity_levels(params, epsilon, ells, n_max)
+              for epsilon in dict.fromkeys(r.eps1 * r.eps2 for r in reports)}
+    for i, ell in enumerate(ells):
         for report in reports:
             eps1, eps2 = report.eps1, report.eps2
             for m_s in (1, -1):
-                oracle = (levels[eps1 * eps2]
-                          - m_s * (1.0 + nu1 * eps1 + nu2 * eps2) / 2.0)
-                for n in range(n_max + 1):
+                shift = m_s * (1.0 + nu1 * eps1 + nu2 * eps2) / 2.0
+                for n, level in enumerate(levels[eps1 * eps2][i]):
                     closed = energy_over_omega_c(
                         SectorState(eps1, eps2, n, ell, m_s), params)
                     report.rows.append(ComparisonRow(
-                        eps1, eps2, ell, n, m_s, float(oracle[n]), closed))
+                        eps1, eps2, ell, n, m_s, level - shift, closed))
     return reports
 
 
@@ -231,10 +246,10 @@ def validate_sector(sector: tuple[int, int], params: WignerParams,
                     scale: OscillatorScale, ell_list, n_max: int,
                     config: None = None,
                     tolerance: float = ORACLE_TOLERANCE) -> SectorReport:
-    """validate_sectors for one sector.  scale, config and tolerance are
-    unread slots kept for positional callers: the rows are E/omega_c, which
-    does not depend on scale, config is the retired grid setting (None
-    only), and the report carries no verdict."""
+    """validate_sectors for one sector: calls for both sectors of a parity in
+    turn share a solve (one-entry memo).  scale, config and tolerance are
+    unread slots for positional callers: rows are E/omega_c, free of scale,
+    config is the retired grid setting (None only), and no verdict is kept."""
     if config is not None:
         raise TypeError("validate_sector takes no grid config; pass None")
     [report] = validate_sectors([sector], params, ell_list, n_max)

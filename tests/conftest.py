@@ -1,5 +1,6 @@
 import contextlib
 import io
+import sys
 import time
 from types import SimpleNamespace
 
@@ -39,3 +40,13 @@ def fallbacks(monkeypatch):
 
     monkeypatch.setattr(rounding, "_Exact", Counted)
     return calls
+
+
+@pytest.fixture(autouse=True)
+def fresh_oracle_memo():
+    """Empty the oracle's one-entry memo before each test, so that a test
+    which patches the solver sees every solve whatever ran before it.  A
+    process that has not imported the oracle has no memo to empty."""
+    oracle = sys.modules.get("dunkl_pauli.radial_oracle")
+    if oracle is not None:
+        oracle._parity_levels.cache_clear()

@@ -24,7 +24,7 @@ def run(workload: str, trace: str, correct=True, pins=0, solves=None,
     """Exit code of the gates on a record built from the arguments, after a
     table line as perfbench/run.py prints one."""
     if solves is None:
-        solves = {"scan": 288, "verify": 48}.get(workload, 0)
+        solves = {"scan": 144, "verify": 48}.get(workload, 0)
     full = {"metrics": {"pin_mismatches": value(pins)}}
     last = {"correct": correct, "metrics": {
         "radial_oracle.solves": value(solves),
@@ -49,7 +49,7 @@ BROKEN = {
     "verify not correct": ("verify", "1", {"correct": False}),
     "a figure pin mismatch": ("figures", "0", {"pins": 1}),
     "a traced run without a solve": ("scan", "1", {"solves": 0}),
-    "a scan solve over 288": ("scan", "1", {"solves": gates.SCAN_SOLVES + 1}),
+    "a scan solve over 144": ("scan", "1", {"solves": gates.SCAN_SOLVES + 1}),
     "an apply_G call over 827": (
         "verify", "1", {"apply_g": gates.VERIFY_APPLY_G_CALLS + 1}),
     "a verify solve over 48": ("verify", "1", {"solves": gates.VERIFY_SOLVES + 1}),
@@ -73,7 +73,7 @@ def test_an_untraced_solve_gated_record_fails_by_name(workload, capsys):
 
 
 def test_the_bounds_are_the_derived_counts():
-    assert (gates.FIGURE_PIN_MISMATCHES, gates.SCAN_SOLVES) == (0, 12 * 4 * 2 * 3)
+    assert (gates.FIGURE_PIN_MISMATCHES, gates.SCAN_SOLVES) == (0, 12 * 2 * 2 * 3)
     assert gates.VERIFY_APPLY_G_CALLS == 300 + 2 * 250 + 27
     assert gates.VERIFY_SOLVES == 16 * 3
     assert gates.VERIFY_GRID_POINTS == (3 * 2051 + 1606 + 3 * 1530 + 1312

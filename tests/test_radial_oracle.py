@@ -316,6 +316,92 @@ def test_run_oracle_suite_solves_each_radial_operator_once(solves):
     assert len(solves) == 48
 
 
+@pytest.fixture
+def operators(monkeypatch):
+    """(lam, epsilon, params, n_max) of every oracle_energies call: one per
+    radial operator solved."""
+    calls = []
+
+    def recording(problem, n_max):
+        calls.append((problem.lam, problem.epsilon, problem.params, n_max))
+        return oracle_energies(problem, n_max)
+
+    monkeypatch.setattr(radial_oracle, "oracle_energies", recording)
+    return calls
+
+
+def _per_sector_rows(params, n_max=2):
+    """The rows of one validate_sector call per sector, in SECTORS order,
+    each sector at the two lowest ells of its parity."""
+    return [validate_sector(sector, params, SCALE,
+                            lowest_ells(sector[0] * sector[1], 2), n_max).rows
+            for sector in SECTORS]
+
+
+@pytest.mark.parametrize("nu", WIDE_NUS[:4], ids=lambda nu: f"{nu[0]},{nu[1]}")
+def test_consecutive_sectors_of_one_parity_share_a_solve(operators, solves, nu):
+    # SECTORS lists ++, --, +-, -+: the second sector of each parity reuses
+    # the first one's levels, so 2 parities x 2 ells operators are solved,
+    # on three grids each.  The rows are those of validate_sectors over all
+    # four sectors from an empty memo, one call per parity, as no ell list
+    # is valid in both
+    params = WignerParams(*nu)
+    rows = _per_sector_rows(params)
+    assert len(operators) == 2 * 2 and len(solves) == 2 * 2 * 3
+    assert len({op[:2] for op in operators}) == 4
+    radial_oracle._parity_levels.cache_clear()
+    assert rows == [r.rows for epsilon in (1, -1) for r in validate_sectors(
+        [s for s in SECTORS if s[0] * s[1] == epsilon], params,
+        lowest_ells(epsilon, 2), 2)]
+    assert len(operators) == 2 * (2 * 2)
+
+
+def test_a_second_pass_over_the_sectors_solves_again(operators):
+    # the memo holds one parity: a pass ends on the odd one and the next
+    # begins with the even one, so no pass is served by the one before it
+    first = _per_sector_rows(NU44)
+    assert _per_sector_rows(NU44) == first
+    assert len(operators) == 2 * (2 * 2)
+
+
+@pytest.mark.parametrize("change", ["nu", "n_max", "ells", "parity"])
+def test_a_changed_key_misses_the_memo(operators, change):
+    ells = lowest_ells(1, 2)
+    validate_sectors([(1, 1)], NU44, ells, 2)
+    args = {"nu": ([(-1, -1)], NU0, ells, 2),
+            "n_max": ([(-1, -1)], NU44, ells, 1),
+            "ells": ([(-1, -1)], NU44, ells[:1], 2),
+            "parity": ([(1, -1)], NU44, lowest_ells(-1, 2), 2)}[change]
+    validate_sectors(*args)
+    assert len(operators) == len(ells) + len(args[2])
+    # and the same key again hits: nothing more is solved
+    validate_sectors(*args)
+    assert len(operators) == len(ells) + len(args[2])
+
+
+def test_the_memo_holds_the_last_key_only(operators):
+    # A, B, A: the third call solves A again
+    ells = lowest_ells(1, 2)
+    for sector, params in (((1, 1), NU44), ((1, 1), NU0), ((-1, -1), NU44)):
+        validate_sector(sector, params, SCALE, ells, 2)
+    assert [op[2] for op in operators] == [NU44] * 2 + [NU0] * 2 + [NU44] * 2
+
+
+def test_a_caller_cannot_change_a_memoized_result(operators):
+    ells = lowest_ells(1, 2)
+    levels = radial_oracle._parity_levels(NU44, 1, tuple(ells), 2)
+    with pytest.raises(TypeError):
+        levels[0][0] = 0.0
+    report = validate_sector((1, 1), NU44, SCALE, ells, 2)
+    rows = list(report.rows)
+    with pytest.raises(AttributeError):
+        report.rows[0].oracle = 0.0
+    report.rows.clear()
+    assert validate_sector((1, 1), NU44, SCALE, ells, 2).rows == rows
+    assert radial_oracle._parity_levels(NU44, 1, tuple(ells), 2) == levels
+    assert len(operators) == len(ells)
+
+
 def _finer_with_brackets(problem, n_max):
     """The second and third matrices of oracle_energies, each with the
     (vl, vu] bracket it is given, taken from the levels of the grid before
@@ -537,6 +623,44 @@ def test_a_bracket_without_vl_below_vu_is_refused_by_name(lapack, capfd, bracket
                            bracket)
     assert lapack == []
     assert capfd.readouterr().out == ""
+
+
+def test_predicted_brackets_without_a_bracket_are_refused_by_name(lapack, capfd):
+    # without vl the count proof has no floor: this raised a TypeError
+    fine, _, good = _richardson_brackets(_problem(1, 1, NU44), 2)
+    lapack.clear()
+    with pytest.raises(ValueError, match="predicted needs a bracket"):
+        lowest_eigenvalues(fine, 3, None, good)
+    assert lapack == []
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("width", [0.0, -1e-7], ids=["zero", "negative"])
+def test_a_half_width_not_above_zero_is_refused_by_name(lapack, capfd, width):
+    # a zero or negative half-width once reached dstebz as vl >= vu: its
+    # xerbla printed "** On entry to DSTEBZ parameter number 5 ..." and
+    # LinAlgError (info = -5) followed
+    fine, bracket, (centres, widths) = _richardson_brackets(
+        _problem(1, 1, NU44), 2)
+    widths[1] = width
+    lapack.clear()
+    with pytest.raises(ValueError, match="half-widths > 0"):
+        lowest_eigenvalues(fine, 3, bracket, (centres, widths))
+    assert lapack == []
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_half_width_falls_back_to_the_bracket(lapack, capfd, width):
+    # a bad guess costs time, not an error: the (vl, vu] bisection runs last
+    fine, bracket, (centres, widths) = _richardson_brackets(
+        _problem(1, 1, NU44), 2)
+    wide = list(lowest_eigenvalues(fine, 3, bracket))
+    widths[1] = width
+    lapack.clear()
+    assert list(lowest_eigenvalues(fine, 3, bracket, (centres, widths))) == wide
+    assert lapack[-1] == (1, *bracket, 1e-13)
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("n_max", [-1, 1.5, 10, True])

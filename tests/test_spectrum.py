@@ -180,6 +180,8 @@ def test_hyp1f1_terminating_is_polynomial():
 def test_hyp1f1_matches_scipy(n, b, x):
     ours = hyp1f1(-float(n), b, x)
     ref = scipy.special.hyp1f1(-n, b, x)
+    if ref != ref:  # scipy 1.17 gives NaN at some points, e.g. (-3, 5.6985, -6)
+        ref = float(mpmath.hyp1f1(-n, b, x))
     assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
