@@ -36,9 +36,9 @@ algebra, so agreement with it is a genuine cross-check.
 The operator is that of one parity eps: J commutes with R1R2 but not with
 R1 or R2.  A sector and spin add the Zeeman term -m_s (1 + nu1 eps1 + nu2
 eps2) to V, a constant that shifts each level by half of it: validate_sectors
-solves once per (eps, ell) and adds the shift per (sector, spin) row, so the
+adds the shift per (sector, spin) row to one solve per (eps, ell), so the
 oracle checks the closed-form rho; eta enters both sides as one constant.
-Consecutive calls for one parity's two sectors share it (a one-entry memo).
+A one-entry memo lets a parity's sectors in turn share it, in a call or across.
 
 Each grid after the first bisects (vl, vu] built from the grid before it.
 vl is the potential's floor lam less a margin of 1: the matrix less
@@ -48,8 +48,8 @@ exp(-kappa h) >= 1) is positive definite; the margin dwarfs the eps*||A|| ~
 top level plus half its spacing, spares LAPACK the Gershgorin interval,
 about +/-1e12 wide on this matrix graded as 1/r^2.  The finest grid bisects
 level j alone in (p_j - w_j, p_j + w_j]: p_j = mu_j(h/2) + d_j/4, d_j =
-mu_j(h/2) - mu_j(h), is Richardson's guess; w_j = 0.01 |d_j| + 1e-12 is ten
-times its worst miss, 9.8e-4 |d_j| over the scan benchmark's 288 operators.
+mu_j(h/2) - mu_j(h), is Richardson's guess; w_j = 0.01 |d_j| + 1e-12 is 9.6
+times its worst miss, 1.04e-3 |d_j|, over 240 distinct operators (scan seeds 1-5).
 The guess stands if the brackets are disjoint and above vl, and Sturm counts
 find one level in each and k in (vl, p_{k-1} + w_{k-1}]: then bracket j holds
 level j.  Else (vl, vu] is bisected, so a bad guess costs time, not a level,
@@ -125,20 +125,22 @@ def lowest_eigenvalues(matrix, k: int, bracket=None, predicted=None):
     """k smallest eigenvalues of the symmetric tridiagonal (diag, off) pair,
     ascending, by LAPACK dstebz bisection to 1e-13, not eps*||A|| (~1e-4).
     Non-finite entries raise ValueError before LAPACK runs, a nonzero info
-    LinAlgError.  Predicted (centres, half-widths) give one level each if the
-    count proof (module doc) holds above vl of the bracket (vl, vu]; else its
-    first k levels if k > 1 and it holds k; else the full range's.  A bracket
-    without vl < vu (a NaN end too), predicted without a bracket and a
-    half-width <= 0 raise ValueError; a NaN or infinite one falls back."""
+    LinAlgError.  Predicted (centres, half-widths), array-likes, give one
+    level each if the count proof (module doc) holds above vl of the bracket
+    (vl, vu]; else its first k levels if k > 1 and it holds k; else the full
+    range's.  A bracket without vl < vu (a NaN end too), predicted without a
+    bracket and a half-width <= 0 raise ValueError; a NaN or inf one falls back."""
     diag, off = (np.asarray(a, dtype=float) for a in matrix)
     _check_integer("k", k, 1, min(10, len(diag)))
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("the matrix entries must be finite")
     if bracket is not None and not bracket[0] < bracket[1]:
         raise ValueError(f"bracket must have vl < vu, got ({bracket[0]}, {bracket[1]})")
-    if predicted is not None and (bracket is None or any(predicted[1] <= 0)):
-        raise ValueError("predicted needs a bracket and half-widths > 0, got "
-                         f"bracket={bracket}, half-widths={predicted[1]}")
+    if predicted is not None:
+        predicted = [np.asarray(a, dtype=float) for a in predicted]
+        if bracket is None or any(predicted[1] <= 0):
+            raise ValueError("predicted needs a bracket and half-widths > 0, got "
+                             f"bracket={bracket}, half-widths={predicted[1]}")
     e = off if len(diag) > 1 else np.zeros(1)  # dstebz takes one e at n = 1
 
     def stebz(select, vl=0.0, vu=0.0, tol=1e-13):  # 1: (vl, vu]; 2: 1..k
@@ -215,10 +217,11 @@ def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int
     the closed forms for every ell in ell_list, n <= n_max and both spins,
     from one solve per (eps, ell), shifted per row (module doc), on the
     positive lam branch, after checking n_max, every label and that ell_list
-    is not empty.  A call that follows one for the same parity, params,
-    ells and n_max reuses its solves (a one-entry memo).  The rows are
-    reported, not judged: the caller compares each row's deviation with
-    its own bound (verify: ORACLE_TOLERANCE)."""
+    is not empty.  Each sector's levels come from the one-entry memo, so a
+    sector after one of its parity (in this call or the last, with the same
+    params, ells and n_max) reuses its solves.  The rows are reported, not
+    judged: the caller compares each row's deviation with its own bound
+    (verify: ORACLE_TOLERANCE)."""
     _check_integer("n_max", n_max, 0, 9)
     sectors = [tuple(sector) for sector in sectors]
     if bad := [sector for sector in sectors if sector not in SECTORS]:
@@ -227,14 +230,11 @@ def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int
         raise ValueError("ell_list must hold at least one ell")
     reports = [SectorReport(*sector, params) for sector in sectors]
     nu1, nu2 = params.as_floats()
-    levels = {epsilon: _parity_levels(params, epsilon, ells, n_max)
-              for epsilon in dict.fromkeys(r.eps1 * r.eps2 for r in reports)}
-    for i, ell in enumerate(ells):
-        for report in reports:
-            eps1, eps2 = report.eps1, report.eps2
+    for (eps1, eps2), report in zip(sectors, reports):
+        for ell, ladder in zip(ells, _parity_levels(params, eps1 * eps2, ells, n_max)):
             for m_s in (1, -1):
                 shift = m_s * (1.0 + nu1 * eps1 + nu2 * eps2) / 2.0
-                for n, level in enumerate(levels[eps1 * eps2][i]):
+                for n, level in enumerate(ladder):
                     closed = energy_over_omega_c(
                         SectorState(eps1, eps2, n, ell, m_s), params)
                     report.rows.append(ComparisonRow(
@@ -247,7 +247,7 @@ def validate_sector(sector: tuple[int, int], params: WignerParams,
                     config: None = None,
                     tolerance: float = ORACLE_TOLERANCE) -> SectorReport:
     """validate_sectors for one sector: calls for both sectors of a parity in
-    turn share a solve (one-entry memo).  scale, config and tolerance are
+    turn share a solve (the one-entry memo).  scale, config and tolerance are
     unread slots for positional callers: rows are E/omega_c, free of scale,
     config is the retired grid setting (None only), and no verdict is kept."""
     if config is not None:

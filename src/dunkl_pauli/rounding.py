@@ -5,12 +5,12 @@ value is ``sum(exact) + t``: ``exact`` is a tuple of doubles, summed without
 rounding, and ``t`` is built from ``num.const(a)``, the arguments, Python
 numbers, the operators ``+ - * /`` and ``num.exp`` and ``num.log1p`` of
 one number each, so ln 2 is ``num.log1p(1)``; ``num.choose(cond, f, g)``
-picks a branch per element.  :func:`round_curve` evaluates it elementwise
-over broadcast argument arrays, each subexpression at its own arguments'
-broadcast shape, so that curves sharing a closed form and a grid take one
-call that computes the grid's own factors once, and returns for each
-element the correctly rounded double of that exact value (nearest, ties
-to even), which every IEEE-754 platform reproduces bit for bit.
+picks a branch per element.  :func:`round_curve` evaluates it at a row of n
+values of the first argument crossed with k runs of the others (a column per
+argument, a value per run), each subexpression at its own arguments' shape,
+so that curves sharing a closed form and a grid take one call that computes
+the grid's factors once, and returns k runs of n correctly rounded doubles
+of its value (nearest, ties to even), the same on every IEEE-754 platform.
 
 The method is Ziv's (A. Ziv, ACM TOMS 17(3), 1991), in two steps:
 
@@ -489,7 +489,7 @@ def _ends(t: _Dec) -> tuple[Fraction, Fraction]:
 
 class Unsettled(ValueError):
     """No correctly rounded value within the decimal fallback's cap at the
-    element ``index`` of :func:`round_curve`'s arguments."""
+    C-order element ``index`` of :func:`round_curve`'s result."""
 
     def __init__(self, index: int, cause: ValueError):
         super().__init__(str(cause))
@@ -547,41 +547,26 @@ def _fill(out: list, indices, value) -> list:
     return out
 
 
-def _matrix(a) -> list:
-    """A scalar as [[a]], a flat sequence as [a], a (k, 1) column as is."""
-    try:
-        rows = list(a)
-    except TypeError:  # a scalar
-        return [[a]]
-    return rows if rows and hasattr(rows[0], "__len__") else [rows]
-
-
-def _extent(lengths) -> int:
-    """One dimension of a broadcast: the lengths other than 1 agree."""
-    [size] = set(lengths) - {1} or {1}  # else ValueError: too many values
-    return size
-
-
-def round_curve(terms, *args) -> list[float]:
-    """Correctly rounded values of ``terms`` at every element of the
-    broadcast ``args`` (scalars, flat sequences of n and (k, 1) columns give
-    k runs of n values, in C order): point by point in Python floats up to
+def round_curve(terms, row, *columns) -> list[float]:
+    """Correctly rounded values of ``terms`` at a row of n values of its first
+    argument crossed with k runs of the rest, one column per argument with a
+    value per run (none: one run), as k runs of n values: element i is at
+    ``(row[i % n], *runs[i // n])``.  Point by point in Python floats up to
     ``_SHORT`` elements (where numpy's per-call cost would dominate), or
-    ``_COLD`` while numpy is not loaded (where its import would), else each
-    subexpression vectorised at its arguments' broadcast shape.  Raises
-    :class:`Unsettled` at the C-order ``index`` of an unsettled element."""
-    rows = [_matrix(a) for a in args]
-    k, n = _extent(map(len, rows)), _extent(len(r[0]) for r in rows)
-    if k * n <= (_SHORT if sys.modules.get("numpy") else _COLD):
-        points = [tuple(float(r[i % len(r)][j % len(r[0])]) for r in rows)
-                  for i in range(k) for j in range(n)]
-        return _fill([0.0] * len(points), range(len(points)),
-                     lambda i: _round_point(terms, points[i]))
+    ``_COLD`` while numpy is not loaded (where its import would); else on
+    arrays, the row along the last axis.  Unequal columns raise ValueError
+    before any evaluation; an unsettled element raises :class:`Unsettled`
+    with its C-order ``index``."""
+    row, columns = [float(v) for v in row], [[float(v) for v in c] for c in columns]
+    runs = [*zip(*columns, strict=True)] if columns else [()]
+    n, size = len(row), len(row) * len(runs)
+    if size <= (_SHORT if sys.modules.get("numpy") else _COLD):
+        return _fill([0.0] * size, range(size),
+                     lambda i: _round_point(terms, (row[i % n], *runs[i // n])))
     np = _Arrays.bind()
-    args = [np.asarray(a, dtype=float) for a in args]
     with np.errstate(all="ignore"):
-        exact, t = terms(_Arrays, *args)
-        t = _DD(*(np.broadcast_to(f, (k, n)) for f in (t.hi, t.lo, t.err)))
+        exact, t = terms(_Arrays, np.array(row), *(np.array(c)[:, None] for c in columns))
+        t = _DD(*(np.broadcast_to(f, (len(runs), n)) for f in (t.hi, t.lo, t.err)))
         hi, ok = (v.ravel() for v in _rounded(_Arrays, exact, t))
-    return _fill(hi.tolist(), np.flatnonzero(~ok).tolist(), lambda i: settle(
-        terms, *(float(np.broadcast_to(a, (k, n)).flat[i]) for a in args)))
+    return _fill(hi.tolist(), np.flatnonzero(~ok).tolist(),
+                 lambda i: settle(terms, row[i % n], *runs[i // n]))

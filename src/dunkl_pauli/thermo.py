@@ -17,10 +17,10 @@ Z, F and C are identical in both modes.
 The scalar functions, ``sweeps`` and ``sweep`` return the correctly
 rounded (round-to-nearest) double of each closed form at x, rho and eta,
 from one evaluator: ``_curve_terms`` gives one closed form per quantity and
-mode, and ``rounding.round_curve`` evaluates it elementwise over (x, rho,
-eta), so that ``sweeps`` takes all the ladders of a figure panel on one
-temperature grid in a single call.  ``log_grid`` returns the correctly
-rounded points 10**y_i of the log-spaced grid y_i = i*step + lo,
+mode, and ``rounding.round_curve`` evaluates it at a row of x and a column
+each of rho and |eta|, so that ``sweeps`` takes all the ladders of a figure
+panel on one temperature grid in a single call.  ``log_grid`` returns the
+correctly rounded points 10**y_i of the log-spaced grid y_i = i*step + lo,
 step = (hi - lo)/(steps - 1), with lo and hi the correctly rounded log10 of
 its exact endpoints, both from ``round_curve`` too.  Every value is therefore
 the same on every IEEE-754 platform, whatever its libm or SIMD dispatch.
@@ -64,8 +64,8 @@ class ThermoInputs(_Record):
 
 def _value(quantity: str, inputs: ThermoInputs) -> float:
     """The correctly rounded closed form of one quantity at ``inputs``."""
-    return round_curve(_curve_terms(quantity, inputs.mode), inputs.x,
-                       inputs.rho, abs(inputs.eta))[0]
+    return round_curve(_curve_terms(quantity, inputs.mode), (inputs.x,),
+                       (inputs.rho,), (abs(inputs.eta),))[0]
 
 
 def log_partition(inputs: ThermoInputs) -> float:
@@ -216,8 +216,9 @@ def sweeps(quantity: str, templates, tau_grid) -> list[ThermoCurve]:
     and eta: the value the scalar function gives at that x, and the same on
     every IEEE-754 platform.  One ``round_curve`` call (``figure`` makes
     one per panel, over the ladders that no earlier panel of the layout
-    evaluated) takes x as a row and (rho, |eta|) as a column of the
-    templates, so that a factor of x alone is computed once per temperature.
+    evaluated) takes the n values of x as its row and the templates' rho and
+    |eta| as two columns, one run per template, so that a factor of x alone
+    is computed once per temperature; curve k is values k*n to (k + 1)*n.
     ``log_grid`` gives the matching grid.  Raises ValueError for templates
     of more than one mode or none, for temperatures that are not positive
     and finite or whose 1/tau overflows (subnormal ones), and (far outside
@@ -234,11 +235,9 @@ def sweeps(quantity: str, templates, tau_grid) -> list[ThermoCurve]:
     taus = tuple(float(t) for t in tau_grid)
     if not all(0 < t < math.inf and 1.0 / t < math.inf for t in taus):
         raise ValueError("all temperatures and 1/tau must be positive and finite")
-    # x along the grid, (rho, e) down the templates: one run per template
     values = round_curve(_curve_terms(quantity, modes.pop()),
-                         [1.0 / t for t in taus],
-                         [[t.rho] for t in templates],
-                         [[abs(t.eta)] for t in templates])
+                         [1.0 / t for t in taus], [t.rho for t in templates],
+                         [abs(t.eta) for t in templates])
     n = len(taus)
     return [ThermoCurve(quantity, taus, tuple(values[k * n:(k + 1) * n]), t)
             for k, t in enumerate(templates)]

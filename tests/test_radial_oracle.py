@@ -379,6 +379,23 @@ def test_a_changed_key_misses_the_memo(operators, change):
     assert len(operators) == len(ells) + len(args[2])
 
 
+def test_a_call_gives_the_rows_of_one_call_per_sector_in_any_order(operators):
+    # each sector takes its levels from the memo, which holds one parity:
+    # an order of sectors changes what is solved, never a row
+    ells, sectors = lowest_ells(1, 2), [(-1, -1), (1, 1), (-1, -1)]
+    rows = [r.rows for r in validate_sectors(sectors, NU44, ells, 2)]
+    assert len(operators) == len(ells)
+    radial_oracle._parity_levels.cache_clear()
+    assert rows == [validate_sector(s, NU44, SCALE, ells, 2).rows for s in sectors]
+    # no ell list holds for both parities, so a call that alternates parity
+    # is refused as its first sector of the other parity is on its own
+    message = "odd sector requires half-odd positive ell, got 1"
+    for call in (lambda: validate_sectors([(1, 1), (1, -1), (-1, -1)], NU44, ells, 2),
+                 lambda: validate_sector((1, -1), NU44, SCALE, ells, 2)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 def test_the_memo_holds_the_last_key_only(operators):
     # A, B, A: the third call solves A again
     ells = lowest_ells(1, 2)
@@ -648,6 +665,29 @@ def test_a_half_width_not_above_zero_is_refused_by_name(lapack, capfd, width):
         lowest_eigenvalues(fine, 3, bracket, (centres, widths))
     assert lapack == []
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("width", [None, 0.0, -1e-7, math.nan, math.inf],
+                         ids=["good", "zero", "negative", "nan", "inf"])
+def test_predicted_brackets_as_lists_act_as_arrays(lapack, width):
+    # lists once raised TypeError at the half-width check; now they give the
+    # same levels, refusals and fallbacks, by the same LAPACK calls
+    fine, bracket, (centres, widths) = _richardson_brackets(
+        _problem(1, 1, NU44), 2)
+    if width is not None:
+        widths[1] = width
+
+    def outcome(convert):
+        lapack.clear()
+        try:
+            got = list(lowest_eigenvalues([convert(a) for a in fine], 3, bracket,
+                                          (convert(centres), convert(widths))))
+        except ValueError as exc:
+            got = str(exc)
+        return got, list(lapack)
+    assert outcome(list) == outcome(np.asarray)
+    with pytest.raises(ValueError, match="predicted needs a bracket"):
+        lowest_eigenvalues(fine, 3, None, (list(centres), list(widths)))
 
 
 @pytest.mark.parametrize("width", [math.nan, math.inf], ids=["nan", "inf"])

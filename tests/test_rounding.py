@@ -126,7 +126,7 @@ def test_decimal_fallback_agrees_bit_for_bit_with_fast_path(grid):
         for mode in MODES:
             for quantity in (*QUANTITIES, "log Z"):
                 terms = thermo._curve_terms(quantity, mode)
-                fast = rounding.round_curve(terms, xs, rho, abs(eta))
+                fast = rounding.round_curve(terms, xs, [rho], [abs(eta)])
                 slow = [rounding.settle(terms, x, rho, abs(eta)) for x in xs]
                 assert fast == slow, (quantity, mode, rho, eta)
 
@@ -170,9 +170,24 @@ def test_a_non_finite_argument_is_unsettled_at_its_index(fallbacks, bad, size):
     x = [1.0] * size
     x[size // 2 + 1] = bad
     with pytest.raises(rounding.Unsettled, match="non-finite") as exc:
-        rounding.round_curve(terms, x, [[0.3], [0.8]], 0.5)
+        rounding.round_curve(terms, x, [0.3, 0.8], [0.5, 0.5])
     assert exc.value.index == size // 2 + 1
     assert fallbacks == []  # refused before any decimal evaluation
+
+
+@pytest.mark.parametrize("rho, e", [([0.3, 0.8], [0.5]), ([0.3], [0.5, 0.5])],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("size", [4, 40], ids=["pointwise", "vectorised"])
+def test_columns_of_unequal_length_are_refused_before_any_evaluation(
+        fallbacks, rho, e, size):
+    calls = []
+
+    def terms(num, *args):
+        calls.append(args)
+        return thermo._curve_terms("S", "consistent")(num, *args)
+    with pytest.raises(ValueError, match="argument 2 is (shorter|longer)"):
+        rounding.round_curve(terms, [1.0] * size, rho, e)
+    assert calls == [] and fallbacks == []
 
 
 # Run in a fresh interpreter, where numpy is not loaded and every call of up
@@ -197,7 +212,7 @@ def run(ladders, wide):
     x[5] = math.nan
     try:
         rounding.round_curve(thermo._curve_terms("U", "consistent"), x,
-                             [[0.3], [0.8]], 0.5)
+                             [0.3, 0.8], [0.5, 0.5])
     except rounding.Unsettled as exc:
         index = exc.index
     return [[v.hex() for v in values] for values in out], index

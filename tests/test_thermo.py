@@ -328,9 +328,10 @@ def test_batched_log_partition_decides_its_linear_part_per_element():
     x = 1.0 / np.array(BATCH_GRIDS[0])
     for mode in MODES:
         terms = thermo._curve_terms("log Z", mode)
-        batched = rounding.round_curve(terms, x, [[r] for r, _ in ladders],
-                                       [[abs(h)] for _, h in ladders])
-        alone = [v for r, h in ladders for v in rounding.round_curve(terms, x, r, abs(h))]
+        batched = rounding.round_curve(terms, x, [r for r, _ in ladders],
+                                       [abs(h) for _, h in ladders])
+        alone = [v for r, h in ladders
+                 for v in rounding.round_curve(terms, x, [r], [abs(h)])]
         assert _bytes(batched) == _bytes(alone)
         assert batched[2 * x.size:3 * x.size:57] == [
             log_partition(ThermoInputs(float(v), 0.25, -0.75, mode)) for v in x[::57]]
