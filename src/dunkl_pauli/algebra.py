@@ -24,13 +24,13 @@ class _Record:
     """An immutable record whose fields are its ``__slots__``: it compares and
     hashes as their tuple, against its own class only, prints as
     ``Name(field=value, ...)`` and pickles by its fields.  ``__init__`` sets
-    them by ``_set``, or in a hot loop by one ``object.__setattr__`` each."""
+    them, after its checks, by one ``_set`` call in slot order."""
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
+    def _set(self, *values, _setattr=object.__setattr__) -> None:
         for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+            _setattr(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -70,8 +70,7 @@ class WignerParams(_Record):
         nu1, nu2 = Fraction(nu1), Fraction(nu2)
         if nu1 <= Fraction(-1, 2) or nu2 <= Fraction(-1, 2):
             raise ValueError(f"Wigner parameters must be > -1/2, got ({nu1}, {nu2})")
-        object.__setattr__(self, "nu1", nu1)
-        object.__setattr__(self, "nu2", nu2)
+        self._set(nu1, nu2)
 
     def nu(self, axis: int) -> Fraction:
         _check_axis(axis)

@@ -114,8 +114,7 @@ class TrigPoly(_Record):
     __slots__ = ("even", "odd")
 
     def __init__(self, even: Poly1 = Poly1(), odd: Poly1 = Poly1()):
-        object.__setattr__(self, "even", even)
-        object.__setattr__(self, "odd", odd)
+        self._set(even, odd)
 
     @classmethod
     def one(cls) -> "TrigPoly":
@@ -251,7 +250,8 @@ def restrict_to_circle(p: BivarPoly) -> TrigPoly:
     return TrigPoly(even, odd)
 
 
-def _validate_sector_ell(ell: Fraction, epsilon: int) -> None:
+def check_ell(ell: Fraction, epsilon: int) -> None:
+    """ValueError unless ell suits parity epsilon: integer >= 0 (+1), half-odd (-1)."""
     num, den = ell.numerator, ell.denominator
     if epsilon == 1:
         if den != 1 or num < 0:
@@ -270,7 +270,7 @@ def _radicand_terms(ell, epsilon: int, params: WignerParams) -> tuple[int, int]:
     """lam^2 as integers (numerator, denominator > 0), not reduced."""
     if not isinstance(ell, Fraction):
         ell = Fraction(ell)
-    _validate_sector_ell(ell, epsilon)
+    check_ell(ell, epsilon)
     p, q = ell.numerator, ell.denominator
     (a, b), (c, d) = params.nu1.as_integer_ratio(), params.nu2.as_integer_ratio()
     if epsilon == 1:
@@ -374,7 +374,7 @@ def angular_eigenpairs(ell, epsilon: int, params: WignerParams
     is_constant_mode set so enumerations can exclude it.
     """
     ell = Fraction(ell)
-    _validate_sector_ell(ell, epsilon)
+    check_ell(ell, epsilon)
 
     if epsilon == 1 and ell == 0:
         return tuple([AngularEigenpair(epsilon, ell, branch, 0.0, (TrigPoly.one(),),

@@ -35,10 +35,11 @@ algebra, so agreement with it is a genuine cross-check.
 
 The operator is that of one parity eps: J commutes with R1R2 but not with
 R1 or R2.  A sector and spin add the Zeeman term -m_s (1 + nu1 eps1 + nu2
-eps2) to V, a constant that shifts each level by half of it: validate_sectors
-adds the shift per (sector, spin) row to one solve per (eps, ell), so the
-oracle checks the closed-form rho; eta enters both sides as one constant.
-A one-entry memo lets a parity's sectors in turn share it, in a call or across.
+eps2) to V, shifting each level by -m_s eta: validate_sectors subtracts m_s
+times spectrum.eta, the constant the closed form adds, per (sector, spin) row
+from one solve per (eps, ell), so the oracle checks the closed-form rho; eta
+enters both sides as one constant.  A one-entry memo lets a parity's sectors
+in turn share it, in a call or across.
 
 Each grid after the first bisects (vl, vu] built from the grid before it.
 vl is the potential's floor lam less a margin of 1: the matrix less
@@ -68,8 +69,8 @@ from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dstebz
 
 from .algebra import WignerParams, _Record
-from .angular import lambda_value
-from .spectrum import SECTORS, OscillatorScale, SectorState, energy_over_omega_c
+from .angular import check_ell, lambda_value
+from .spectrum import SECTORS, OscillatorScale, SectorState, energy_over_omega_c, eta
 
 
 class RadialProblem(_Record):
@@ -215,30 +216,33 @@ def validate_sectors(sectors, params: WignerParams, ell_list, n_max: int
                      ) -> list[SectorReport]:
     """One report per sector: oracle eigenvalues (oracle_energies) against
     the closed forms for every ell in ell_list, n <= n_max and both spins,
-    from one solve per (eps, ell), shifted per row (module doc), on the
-    positive lam branch, after checking n_max, every label and that ell_list
-    is not empty.  Each sector's levels come from the one-entry memo, so a
-    sector after one of its parity (in this call or the last, with the same
-    params, ells and n_max) reuses its solves.  The rows are reported, not
-    judged: the caller compares each row's deviation with its own bound
-    (verify: ORACLE_TOLERANCE)."""
+    from one solve per (eps, ell), shifted per row by m_s * eta (module doc),
+    on the positive lam branch.  n_max, every label, a non-empty ell_list and
+    each ell against each sector's parity are checked before any solve.  Each
+    sector's levels come from the one-entry memo, so a sector after one of
+    its parity (in this call or the last, with the same params, ells and
+    n_max) reuses its solves.  The rows are reported, not judged: the caller
+    compares each row's deviation with its own bound (verify:
+    ORACLE_TOLERANCE)."""
     _check_integer("n_max", n_max, 0, 9)
     sectors = [tuple(sector) for sector in sectors]
     if bad := [sector for sector in sectors if sector not in SECTORS]:
         raise ValueError(f"sector labels must be +/-1, got {bad[0]}")
     if not (ells := tuple(Fraction(ell) for ell in ell_list)):
         raise ValueError("ell_list must hold at least one ell")
+    for eps1, eps2 in sectors:
+        for ell in ells:
+            check_ell(ell, eps1 * eps2)
     reports = [SectorReport(*sector, params) for sector in sectors]
-    nu1, nu2 = params.as_floats()
     for (eps1, eps2), report in zip(sectors, reports):
+        h = eta(eps1, eps2, params)
         for ell, ladder in zip(ells, _parity_levels(params, eps1 * eps2, ells, n_max)):
             for m_s in (1, -1):
-                shift = m_s * (1.0 + nu1 * eps1 + nu2 * eps2) / 2.0
                 for n, level in enumerate(ladder):
                     closed = energy_over_omega_c(
                         SectorState(eps1, eps2, n, ell, m_s), params)
                     report.rows.append(ComparisonRow(
-                        eps1, eps2, ell, n, m_s, level - shift, closed))
+                        eps1, eps2, ell, n, m_s, level - m_s * h, closed))
     return reports
 
 

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .algebra import WignerParams, _Record
-from .angular import _validate_sector_ell, lambda_radicand, lambda_value
+from .angular import check_ell, lambda_radicand, lambda_value
 
 
 class OscillatorScale(_Record):
@@ -34,7 +34,7 @@ class OscillatorScale(_Record):
     def __init__(self, omega_c: float = 1.0):
         if omega_c <= 0:
             raise ValueError("omega_c must be positive")
-        object.__setattr__(self, "omega_c", omega_c)
+        self._set(omega_c)
 
 
 class SectorState(_Record):
@@ -58,13 +58,8 @@ class SectorState(_Record):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"n must be a nonnegative integer, got {n}")
         ell = ell if isinstance(ell, Fraction) else Fraction(ell)
-        _validate_sector_ell(ell, eps1 * eps2)
-        object.__setattr__(self, "eps1", eps1)
-        object.__setattr__(self, "eps2", eps2)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "m_s", m_s)
-        object.__setattr__(self, "branch", branch)
+        check_ell(ell, eps1 * eps2)
+        self._set(eps1, eps2, n, ell, m_s, branch)
 
     @property
     def epsilon(self) -> int:

@@ -56,10 +56,7 @@ class ThermoInputs(_Record):
             raise ValueError(f"x = beta*omega_c must be positive, got {x}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "mode", mode)
+        self._set(x, rho, eta, mode)
 
 
 def _value(quantity: str, inputs: ThermoInputs) -> float:

@@ -49,9 +49,16 @@ ORACLE_NUS = ((Fraction(0), Fraction(0)),
 
 
 class SuiteResult:
+    """One suite's checks and counterexamples, timed from creation to stop()."""
+
     def __init__(self, name: str):
         self.name, self.passed, self.failed, self.seconds = name, 0, 0, 0.0
         self.counterexamples: list[str] = []
+        self._t0 = time.monotonic()
+
+    def stop(self) -> "SuiteResult":
+        self.seconds = time.monotonic() - self._t0
+        return self
 
     @property
     def ok(self) -> bool:
@@ -102,7 +109,6 @@ def random_trig_poly(rng: random.Random, max_degree: int = 10) -> TrigPoly:
 
 def run_algebra_suite(n_polys: int = 200, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Deformed Heisenberg and reflection identities, zero tolerance."""
-    t0 = time.monotonic()
     res = SuiteResult("algebra (exact Heisenberg/reflection identities)")
     rng = random.Random(seed)
     for idx in range(n_polys):
@@ -133,8 +139,7 @@ def run_algebra_suite(n_polys: int = 200, seed: int = DEFAULT_SEED) -> SuiteResu
             lin = dunkl_derive(alpha * p + q, j, params)
             res.check(lin == alpha * dunkl_derive(p, j, params) + dunkl_derive(q, j, params),
                       lambda: f"D{j} linearity failed on sample {idx}")
-    res.seconds = time.monotonic() - t0
-    return res
+    return res.stop()
 
 
 def _parity_sectors(epsilon: int) -> list[tuple[int, int]]:
@@ -158,7 +163,6 @@ def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> Suite
     """Angular operator identity (exact) plus eigenpair construction checks.
     Both branches of each eigenpair come from one exact restriction, and the
     residual is bounded at every theta from that restriction (_residual_bound)."""
-    t0 = time.monotonic()
     res = SuiteResult("angular (operator identity and eigenpairs)")
     rng = random.Random(seed)
     for idx in range(n_funcs):
@@ -189,14 +193,12 @@ def run_angular_suite(n_funcs: int = 100, seed: int = DEFAULT_SEED + 1) -> Suite
                     res.check(all(abs(a.conjugate() - b) <= 1e-14 * max(abs(a), 1.0)
                                   for a, b in zip(pair.weights, conj.weights)), lambda:
                               f"branch conjugacy fails at ell={ell}, sector=({eps1},{eps2})")
-    res.seconds = time.monotonic() - t0
-    return res
+    return res.stop()
 
 
 def run_spectrum_suite() -> SuiteResult:
     """Closed-form consistency: sector forms vs compact form, radical
     identity, Zeeman split, hypergeometric sanity."""
-    t0 = time.monotonic()
     res = SuiteResult("spectrum (closed forms and radical identity)")
     for nu1, nu2 in NU_GRID:
         params = WignerParams(nu1, nu2)
@@ -224,8 +226,7 @@ def run_spectrum_suite() -> SuiteResult:
               lambda: "M(-1,b,x) != 1 - x/b")
     res.check(abs(hyp1f1(-2.0, 2.0, 1.5) - (-0.125)) < 1e-15,
               lambda: "terminating M(-2,2,1.5) != -1/8")
-    res.seconds = time.monotonic() - t0
-    return res
+    return res.stop()
 
 
 def run_oracle_suite() -> SuiteResult:
@@ -237,7 +238,6 @@ def run_oracle_suite() -> SuiteResult:
     # imported here so that the exact suites (verify --skip-oracle) run
     # without scipy
     from .radial_oracle import ORACLE_TOLERANCE, validate_sectors
-    t0 = time.monotonic()
     res = SuiteResult("radial oracle (finite-difference cross-check)")
     for nu in ORACLE_NUS:
         params = WignerParams(*nu)
@@ -249,17 +249,14 @@ def run_oracle_suite() -> SuiteResult:
                               lambda: f"oracle deviation {row.deviation:g} at "
                               f"sector={(row.eps1, row.eps2)}, nu={params}, "
                               f"ell={row.ell}, n={row.n}, m_s={row.m_s}")
-    res.seconds = time.monotonic() - t0
-    return res
+    return res.stop()
 
 
 def _ladder_cases():
     for eps1, eps2 in SECTORS:
         epsilon = eps1 * eps2
         ells = lowest_ells(epsilon, 2)
-        for nu in ((Fraction(0), Fraction(0)), (Fraction(2, 5), Fraction(2, 5)),
-                   (Fraction(2, 5), Fraction(-2, 5)), (Fraction(-2, 5), Fraction(-2, 5)),
-                   (Fraction(-2, 5), Fraction(2, 5))):
+        for nu in (*ORACLE_NUS, (Fraction(-2, 5), Fraction(-2, 5))):
             params = WignerParams(*nu)
             for ell in ells:
                 yield (rho(ell, epsilon, 1, params), eta(eps1, eps2, params))
@@ -268,10 +265,8 @@ def _ladder_cases():
 def run_thermo_suite() -> SuiteResult:
     """Partition oracle, derivative chain, F = U - TS, mode relations,
     and log-space stability."""
-    t0 = time.monotonic()
     res = SuiteResult("thermo (oracle and identities)")
-    cases = list(_ladder_cases())
-    for r, h in cases:
+    for r, h in _ladder_cases():
         for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
             ti = thermo.ThermoInputs(x, r, h)
             z = thermo.partition(ti)
@@ -318,8 +313,7 @@ def run_thermo_suite() -> SuiteResult:
         z0 = thermo.partition(thermo.ThermoInputs(
             x, rho(1, 1, 1, params0), eta(1, 1, params0)))
         res.check(zi == z0, lambda: f"nu1=-nu2 reduction fails at x={x}")
-    res.seconds = time.monotonic() - t0
-    return res
+    return res.stop()
 
 
 def _finding_internal_energy() -> DiscrepancyFinding:

@@ -396,6 +396,15 @@ def test_a_call_gives_the_rows_of_one_call_per_sector_in_any_order(operators):
             call()
 
 
+def test_an_ell_of_the_wrong_parity_is_refused_before_any_solve(solves):
+    # the even sector's ells are valid and come first, but the odd sector's
+    # refusal of ell = 1 comes before the even parity's six grid solves
+    message = "odd sector requires half-odd positive ell, got 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate_sectors([(1, 1), (1, -1)], NU44, [1, 2], 2)
+    assert solves == []
+
+
 def test_the_memo_holds_the_last_key_only(operators):
     # A, B, A: the third call solves A again
     ells = lowest_ells(1, 2)
